@@ -22,6 +22,7 @@ from .pairs import (
     EnumerationSummary,
     enumerate_block,
     enumerate_pairs,
+    is_good_orbitwise,
 )
 from .patterns import left_bad_exists, right_bad_exists, verify_pattern_theorem
 from .serialize import (
@@ -34,6 +35,7 @@ from .serialize import (
     witness_dict,
 )
 from .varieties import (
+    DEFAULT_SEED,
     additional_equation_scan,
     check_point_families,
     p_polynomials,
@@ -44,7 +46,6 @@ from .varieties import (
 from .weyl import Permutation, symmetric_group
 
 INTERFACE_VERSION = "1.0"
-DEFAULT_SEED = 42
 
 CRITERIA_CHOICES = ("chain", "parabolic", "orbit", "flatten", "all")
 
@@ -62,6 +63,25 @@ def _perm(token: str, n: int) -> Permutation:
     if w.n != n:
         raise ValueError(f"permutation {token!r} does not have n = {n} letters")
     return w
+
+
+def _require_together(args, first: str, second: str) -> None:
+    if (getattr(args, first) is None) != (getattr(args, second) is None):
+        raise ValueError(f"--{first} and --{second} must be given together")
+
+
+def _bad_pair(args) -> tuple[Permutation, Permutation]:
+    """The pair (w, w') named by --w and --wprime, which must be bad: the
+    scanner's answers, "unknown" included, are statements about bad pairs."""
+    w = _perm(args.w, args.n)
+    wp = _perm(args.wprime, args.n)
+    verdict = is_good_orbitwise(wp, w).verdict
+    if verdict != "bad":
+        reason = "good" if verdict == "good" else "not comparable (w' <= w fails)"
+        raise ValueError(
+            f"({w.to_string()}, {wp.to_string()}) is not a bad pair: it is {reason}"
+        )
+    return w, wp
 
 
 def _default_jobs() -> int:
@@ -240,11 +260,12 @@ def cmd_equations_emit(args) -> int:
 
 
 def cmd_counterexample_scan(args) -> int:
+    _require_together(args, "w", "wprime")
+    pair = _bad_pair(args) if args.w is not None else None
     out = _open_out(args.out)
     try:
-        if args.w and args.wprime:
-            w = _perm(args.w, args.n)
-            wp = _perm(args.wprime, args.n)
+        if pair is not None:
+            w, wp = pair
             _emit(counterexample_dict(additional_equation_scan(w, wp)), out)
             return 0
         count = 0
@@ -261,9 +282,9 @@ def cmd_counterexample_scan(args) -> int:
 
 
 def cmd_witness_verify(args) -> int:
-    w = _perm(args.w, args.n)
-    wp = _perm(args.wprime, args.n)
-    if args.a is not None and args.b is not None:
+    _require_together(args, "a", "b")
+    w, wp = _bad_pair(args)
+    if args.a is not None:
         result = verify_witness(w, wp, args.a, args.b)
         _emit(witness_dict(result), sys.stdout)
         return 0 if result.ok else 1
@@ -284,6 +305,8 @@ def cmd_witness_verify(args) -> int:
 
 
 def cmd_sample_check(args) -> int:
+    if args.samples < 1:
+        raise ValueError(f"--samples must be at least 1, got {args.samples}")
     w = _perm(args.w, args.n)
     eqs = p_polynomials(w)
     families = {"plucker": True, "incidence": True, "cell": True, "p_equations": True}

@@ -19,6 +19,7 @@ The four agree everywhere; the test suite checks this exhaustively.
 from __future__ import annotations
 
 import itertools
+import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -304,7 +305,7 @@ def enumerate_pairs(
         raise ValueError(f"enumeration supports 2 <= n <= {LARGE_ENUMERATION_N}")
     if n >= LARGE_ENUMERATION_N and not allow_large:
         raise ValueError(
-            f"n = {n} enumerates {(_factorial(n)) ** 2} ordered pairs; "
+            f"n = {n} enumerates {math.factorial(n) ** 2} ordered pairs; "
             "pass allow_large=True (CLI: --allow-large) to proceed"
         )
     if verdict_filter not in ("good", "bad", "all"):
@@ -329,13 +330,6 @@ def enumerate_pairs(
                         perms[t1], perms[t2], True, "bad", "orbitwise",
                         violating_orbit=violation,
                     )
-
-
-def _factorial(n: int) -> int:
-    out = 1
-    for k in range(2, n + 1):
-        out *= k
-    return out
 
 
 def enumerate_block(n: int, lo: int, hi: int, verdict_filter: str) -> tuple[list, int, int]:

@@ -6,6 +6,12 @@ The variable vocabulary is fixed: projective coordinates ``x_{i1...id}``
 Terms are kept in a canonical graded-lexicographic order with the variable
 order x < u < t < lambda (lex within each kind), so equal polynomials are
 structurally equal, hashable, and print identically.
+
+Integral coefficients are stored as ``int`` and only the others as
+``Fraction``: every generated equation has integer coefficients, and ``int``
+arithmetic is many times faster.  Since ``str``, ``hash`` and ``==`` agree on
+``3`` and ``Fraction(3)``, the stored type never shows in canonical strings,
+JSON terms or comparisons.
 """
 
 from __future__ import annotations
@@ -44,6 +50,16 @@ def t_var(m: int) -> Variable:
 
 
 _KIND_RANK = {"x": 0, "u": 1, "t": 2, "lam": 3}
+
+
+def exact_number(c) -> int | Fraction:
+    """Normal form of an exact rational: ``int`` when integral, else
+    ``Fraction``."""
+    if type(c) is int:
+        return c
+    if type(c) is not Fraction:
+        c = Fraction(c)
+    return c.numerator if c.denominator == 1 else c
 
 
 def _var_key(v: Variable):
@@ -85,10 +101,10 @@ class SparsePolynomial:
     __slots__ = ("_terms", "_hash")
 
     def __init__(self, terms: Mapping[tuple, Fraction] | None = None):
-        clean: dict[tuple, Fraction] = {}
+        clean: dict[tuple, int | Fraction] = {}
         if terms:
             for mono, coeff in terms.items():
-                c = Fraction(coeff)
+                c = exact_number(coeff)
                 if c == 0:
                     continue
                 merged: dict = {}
@@ -100,7 +116,7 @@ class SparsePolynomial:
                         key=lambda p: _var_key(p[0]),
                     )
                 )
-                clean[key] = clean.get(key, Fraction(0)) + c
+                clean[key] = exact_number(clean.get(key, 0) + c)
                 if clean[key] == 0:
                     del clean[key]
         self._terms = clean
@@ -113,22 +129,22 @@ class SparsePolynomial:
 
     @classmethod
     def constant(cls, c) -> "SparsePolynomial":
-        return cls({(): Fraction(c)})
+        return cls({(): c})
 
     @classmethod
     def variable(cls, v: Variable, exp: int = 1) -> "SparsePolynomial":
-        return cls({((v, exp),): Fraction(1)})
+        return cls({((v, exp),): 1})
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other) -> "SparsePolynomial":
         other = _coerce(other)
         out = dict(self._terms)
         for mono, c in other._terms.items():
-            s = out.get(mono, Fraction(0)) + c
+            s = out.get(mono, 0) + c
             if s == 0:
                 out.pop(mono, None)
             else:
-                out[mono] = s
+                out[mono] = s if type(s) is int else exact_number(s)
         return _raw(out)
 
     __radd__ = __add__
@@ -146,16 +162,16 @@ class SparsePolynomial:
         if isinstance(other, (int, Fraction)):
             if other == 0:
                 return SparsePolynomial()
-            return _raw({m: c * other for m, c in self._terms.items()})
-        out: dict[tuple, Fraction] = {}
+            return _raw({m: exact_number(c * other) for m, c in self._terms.items()})
+        out: dict[tuple, int | Fraction] = {}
         for m1, c1 in self._terms.items():
             for m2, c2 in other._terms.items():
                 mono = _merge_monomials(m1, m2)
-                s = out.get(mono, Fraction(0)) + c1 * c2
+                s = out.get(mono, 0) + c1 * c2
                 if s == 0:
                     out.pop(mono, None)
                 else:
-                    out[mono] = s
+                    out[mono] = s if type(s) is int else exact_number(s)
         return _raw(out)
 
     __rmul__ = __mul__
@@ -192,7 +208,7 @@ class SparsePolynomial:
 
     def leading_coefficient(self) -> Fraction:
         terms = self.sorted_terms()
-        return terms[0][1] if terms else Fraction(0)
+        return Fraction(terms[0][1]) if terms else Fraction(0)
 
     def lambda_degree(self) -> int:
         deg = 0
@@ -204,7 +220,7 @@ class SparsePolynomial:
 
     def lambda_coefficients(self) -> list["SparsePolynomial"]:
         """Split p = sum_s coeff[s] * lambda^s into lambda-free coefficients."""
-        buckets: list[dict[tuple, Fraction]] = [dict() for _ in range(self.lambda_degree() + 1)]
+        buckets: list[dict[tuple, int | Fraction]] = [dict() for _ in range(self.lambda_degree() + 1)]
         for mono, c in self._terms.items():
             s = 0
             rest = []
@@ -217,8 +233,10 @@ class SparsePolynomial:
         return [_raw(b) for b in buckets]
 
     def evaluate(self, point: Mapping[Variable, Fraction]) -> Fraction:
-        """Exact evaluation; every variable must be assigned."""
-        total = Fraction(0)
+        """Exact evaluation at a point of ``int``/``Fraction`` values; every
+        variable must be assigned, except that a monomial stops at its first
+        zero factor."""
+        total = 0
         for mono, c in self._terms.items():
             val = c
             for v, e in mono:
@@ -226,12 +244,12 @@ class SparsePolynomial:
                     base = point[v]
                 except KeyError:
                     raise IncompletePointError(f"no value for variable {var_name(v)}")
-                if base == 0:
-                    val = Fraction(0)
+                if not base:
+                    val = 0
                     break
-                val *= Fraction(base) ** e
+                val *= base if e == 1 else base**e
             total += val
-        return total
+        return Fraction(total)
 
     # -- serialization ------------------------------------------------------------
     def canonical_str(self) -> str:
@@ -275,8 +293,8 @@ class SparsePolynomial:
         return f"<poly {self.canonical_str()}>"
 
 
-def _raw(terms: dict[tuple, Fraction]) -> SparsePolynomial:
-    """Wrap a term dict already in canonical monomial form."""
+def _raw(terms: dict[tuple, int | Fraction]) -> SparsePolynomial:
+    """Wrap a term dict already in canonical monomial and coefficient form."""
     p = SparsePolynomial.__new__(SparsePolynomial)
     p._terms = terms
     p._hash = None
@@ -294,6 +312,11 @@ def _merge_monomials(m1, m2):
         return m2
     if not m2:
         return m1
+    # disjoint and already in order, as in x_I times a t-monomial
+    if _var_key(m1[-1][0]) < _var_key(m2[0][0]):
+        return m1 + m2
+    if _var_key(m2[-1][0]) < _var_key(m1[0][0]):
+        return m2 + m1
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e

@@ -31,6 +31,7 @@ from .linalg import det, kernel_basis, mat_inverse, mat_mul
 from .poly import (
     LAMBDA,
     SparsePolynomial,
+    exact_number,
     normalize_plucker_indices,
     symbolic_minor,
     t_var,
@@ -66,6 +67,12 @@ def _signed_x(indices) -> SparsePolynomial:
     if sign == 0:
         return SparsePolynomial.zero()
     return SparsePolynomial.variable(x_var(sorted_idx)) * sign
+
+
+def _prefix_set(w: Permutation, d: int) -> tuple[int, ...]:
+    """{w(1), ..., w(d)} as a sorted tuple: the index of the nonvanishing
+    coordinate x of dimension d on the cell of w."""
+    return tuple(sorted(w(k) for k in range(1, d + 1)))
 
 
 def _canonical_sign(p: SparsePolynomial) -> SparsePolynomial:
@@ -137,7 +144,7 @@ def cell_equations(w: Permutation) -> CellDescription:
     nonvan = []
     vanishing = []
     for d in range(1, n):
-        lead = tuple(sorted(w(k) for k in range(1, d + 1)))
+        lead = _prefix_set(w, d)
         nonvan.append(lead)
         vanishing.append(
             tuple(
@@ -166,13 +173,28 @@ def _colinearity_sum(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
     return total
 
 
-def _diagonal_product(w: Permutation, d: int) -> SparsePolynomial:
-    """prod_{k<=d} (t_{w(k)} + lambda)."""
+@lru_cache(maxsize=None)
+def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
+    """The lambda-coefficients of ``_colinearity_sum(n, indices)``."""
+    return tuple(_colinearity_sum(n, indices).lambda_coefficients())
+
+
+@lru_cache(maxsize=None)
+def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
+    """The lambda-coefficients of prod_{m in subset} (t_m + lambda): entry s
+    is the elementary symmetric polynomial e_{|subset|-s} of those t_m."""
     out = SparsePolynomial.constant(1)
     lam = SparsePolynomial.variable(LAMBDA)
-    for k in range(1, d + 1):
-        out = out * (SparsePolynomial.variable(t_var(w(k))) + lam)
-    return out
+    for m in subset:
+        out = out * (SparsePolynomial.variable(t_var(m)) + lam)
+    return tuple(out.lambda_coefficients())
+
+
+def _diagonal_product(w: Permutation, d: int) -> SparsePolynomial:
+    """prod_{k<=d} (t_{w(k)} + lambda)."""
+    coeffs = _subset_product_coefficients(_prefix_set(w, d))
+    lam = SparsePolynomial.variable(LAMBDA)
+    return sum((c * lam**s for s, c in enumerate(coeffs)), SparsePolynomial.zero())
 
 
 def p_polynomial(w: Permutation, indices: tuple[int, ...]) -> SparsePolynomial:
@@ -198,22 +220,28 @@ class EquationSet:
 
 def p_polynomials(w: Permutation) -> EquationSet:
     """Bundle Pluecker + incidence (d, d+1) + cell data + every lambda
-    coefficient P_{w,indices,s}, 0 <= s <= d-1."""
+    coefficient P_{w,indices,s}, 0 <= s <= d-1.
+
+    P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, where C_{I,s}
+    is the lambda^s coefficient of the colinearity sum; both factors are
+    cached, so only the products with x_I and the differences depend on w.
+    """
     n = w.n
     _check_n(n)
     p_eqs = {}
     for d in range(1, n):
+        diagonal = _subset_product_coefficients(_prefix_set(w, d))
         for indices in itertools.combinations(range(1, n + 1), d):
-            poly = p_polynomial(w, indices)
-            coeffs = poly.lambda_coefficients()
-            if len(coeffs) > d:
+            colinear = _colinearity_coefficients(n, indices)
+            x = SparsePolynomial.variable(x_var(indices))
+            # lambda^d cancels against the diagonal product, and nothing is higher
+            if len(colinear) != d + 1 or colinear[d] != x:
                 raise VerificationFailedError(
-                    f"P_{w.to_string()},{indices} has lambda degree {len(coeffs) - 1} >= {d}"
+                    f"P_{w.to_string()},{indices} has lambda degree "
+                    f"{max(len(colinear) - 1, d)} >= {d}"
                 )
             for s in range(d):
-                p_eqs[(d, indices, s)] = (
-                    coeffs[s] if s < len(coeffs) else SparsePolynomial.zero()
-                )
+                p_eqs[(d, indices, s)] = colinear[s] - diagonal[s] * x
     plucker = tuple(
         rel for d in range(1, n) for rel in plucker_relations(n, d)
     )
@@ -342,11 +370,11 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     point = {}
     for d in range(1, n):
         for tup in itertools.combinations(range(1, n + 1), d):
-            point[x_var(tup)] = Fraction(plucker_values.get(tup, 0))
+            point[x_var(tup)] = exact_number(plucker_values.get(tup, 0))
     for k in range(1, n + 1):
-        point[t_var(k)] = Fraction(psi[k - 1][k - 1])
+        point[t_var(k)] = exact_number(psi[k - 1][k - 1])
         for l in range(k + 1, n + 1):
-            point[u_var(k, l)] = Fraction(psi[k - 1][l - 1])
+            point[u_var(k, l)] = exact_number(psi[k - 1][l - 1])
     return point
 
 
@@ -523,7 +551,7 @@ def verify_witness(
         t = tuple(Fraction(v) for v in diagonal)
     plucker_values = {}
     for d in range(1, n):
-        lead = tuple(sorted(w_prime(k) for k in range(1, d + 1)))
+        lead = _prefix_set(w_prime, d)
         for tup in itertools.combinations(range(1, n + 1), d):
             plucker_values[tup] = Fraction(1 if tup == lead else 0)
     psi = tuple(
@@ -658,11 +686,7 @@ def additional_equation_holds(
             n, tuple(sorted(j_tuple + (b,))), tuple(sorted(k_seq + (b,))), shift_lambda=True
         )
         poly = poly + minor * _signed_x(k_seq + (a,)) * (sigma_j * sigma_k)
-    prod = SparsePolynomial.constant(1)
-    lam = SparsePolynomial.variable(LAMBDA)
-    for m in range(1, q + 2):
-        prod = prod * (SparsePolynomial.variable(t_var(w(m))) + lam)
-    poly = poly - prod * _signed_x(j_tuple + (a,))
+    poly = poly - _diagonal_product(w, q + 1) * _signed_x(j_tuple + (a,))
     coeffs = poly.lambda_coefficients()
     for s in range(samples):
         point = _cached_sample_assignment(w.one_line, seed + s)

@@ -230,6 +230,43 @@ class TestDeterminism:
         assert first == second
 
 
+class TestInputContract:
+    """Inputs the CLI cannot answer exit 2 with a message and print nothing."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["counterexample", "scan", "--n", "4", "--w", "4231"],
+            ["counterexample", "scan", "--n", "4", "--wprime", "1324"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324",
+             "--a", "1"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324",
+             "--b", "2"],
+            ["sample", "check", "--n", "4", "--w", "4231", "--samples", "0"],
+            ["sample", "check", "--n", "4", "--w", "4231", "--samples", "-3"],
+            ["counterexample", "scan", "--n", "4", "--w", "1234", "--wprime", "4321"],
+            ["counterexample", "scan", "--n", "4", "--w", "1324", "--wprime", "4231"],
+            ["counterexample", "scan", "--n", "4", "--w", "4231", "--wprime", "1234"],
+            ["witness", "verify", "--n", "4", "--w", "1234", "--wprime", "4321"],
+            ["witness", "verify", "--n", "4", "--w", "1324", "--wprime", "4231"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "4231",
+             "--a", "1", "--b", "2"],
+        ],
+        ids=[
+            "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
+            "witness-b-alone", "samples-0", "samples-negative",
+            "scan-incomparable", "scan-reversed", "scan-good", "witness-incomparable",
+            "witness-reversed", "witness-good-explicit-ab",
+        ],
+    )
+    def test_exit_2_with_message(self, argv, capsys):
+        code = dispatch(argv)
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+
+
 class TestUsageErrors:
     def test_unknown_subcommand(self):
         with pytest.raises(SystemExit) as exc:

@@ -27,11 +27,14 @@ F = Fraction
 POOL = [x_var([1]), x_var([2]), x_var([1, 2]), u_var(1, 2), t_var(1), t_var(2), LAMBDA]
 
 
-def polys(max_terms=4):
+RATIONALS = st.fractions(min_value=-5, max_value=5, max_denominator=6)
+
+
+def polys(max_terms=4, coefficients=st.integers(-5, 5)):
     monomial = st.lists(
         st.tuples(st.sampled_from(POOL), st.integers(1, 2)), max_size=2
     )
-    term = st.tuples(monomial, st.integers(-5, 5))
+    term = st.tuples(monomial, coefficients)
     return st.lists(term, max_size=max_terms).map(
         lambda terms: sum(
             (SparsePolynomial({tuple(m): F(c)}) for m, c in terms),
@@ -86,6 +89,76 @@ class TestEvaluate:
         point = {v: F(hash(v) % 7 - 3) for v in POOL}
         assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
         assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+
+
+def fraction_evaluate(p, point):
+    """Reference: the same sum computed with Fraction at every step."""
+    total = F(0)
+    for mono, coeff in p.sorted_terms():
+        val = F(coeff)
+        for v, e in mono:
+            val *= F(point[v]) ** e
+        total += val
+    return total
+
+
+def integral_exactly_when_int(p):
+    return all(
+        type(c) in (int, F) and (type(c) is int) == (F(c).denominator == 1)
+        for _, c in p.sorted_terms()
+    )
+
+
+class TestIntegerCore:
+    def test_parsed_coefficients(self):
+        p = parse_polynomial("1/2*x1 + 3*x2")
+        coeffs = {var_name(mono[0][0]): c for mono, c in p.sorted_terms()}
+        assert coeffs == {"x1": F(1, 2), "x2": 3}
+        assert type(coeffs["x1"]) is F and type(coeffs["x2"]) is int
+
+    def test_integral_results_become_int(self):
+        half = parse_polynomial("1/2*x1")
+        for p in (half + half, half * 2, half * F(4), half * parse_polynomial("2*x2")):
+            ((_, c),) = p.sorted_terms()
+            assert type(c) is int
+        assert type(SparsePolynomial.constant(F(6, 3)).sorted_terms()[0][1]) is int
+
+    def test_strings_and_hashes_unchanged(self):
+        as_int = SparsePolynomial({((x_var([1]), 1),): 3})
+        as_fraction = SparsePolynomial.__new__(SparsePolynomial)
+        as_fraction._terms, as_fraction._hash = {((x_var([1]), 1),): F(3)}, None
+        assert as_int == as_fraction and hash(as_int) == hash(as_fraction)
+        assert as_int.canonical_str() == as_fraction.canonical_str() == "3*x1"
+        assert as_int.to_json_terms() == as_fraction.to_json_terms()
+
+    @settings(max_examples=80, deadline=None)
+    @given(polys(coefficients=RATIONALS), polys(coefficients=RATIONALS), RATIONALS)
+    def test_arithmetic_keeps_normal_form(self, p, q, c):
+        for r in (p, q, p + q, p - q, p * q, p * c, -p, *p.lambda_coefficients()):
+            assert integral_exactly_when_int(r)
+
+    @settings(max_examples=80, deadline=None)
+    @given(polys(coefficients=RATIONALS), st.lists(RATIONALS, min_size=len(POOL), max_size=len(POOL)))
+    def test_evaluate_matches_fraction_reference(self, p, values):
+        point = dict(zip(POOL, values))
+        value = p.evaluate(point)
+        assert type(value) is F
+        assert value == fraction_evaluate(p, point)
+
+    def test_evaluate_returns_fraction_at_integer_points(self):
+        value = parse_polynomial("2*x1*x2 - 1").evaluate({x_var([1]): 3, x_var([2]): F(2)})
+        assert type(value) is F and value == 11
+
+    def test_zero_factor_skips_the_rest_of_its_monomial(self):
+        p = parse_polynomial("x1*x2")
+        assert p.evaluate({x_var([1]): 0}) == 0
+        assert p.evaluate({x_var([1]): F(0)}) == 0
+        with pytest.raises(IncompletePointError):
+            p.evaluate({x_var([2]): 0})  # x1 comes first and is missing
+        with pytest.raises(IncompletePointError):
+            p.evaluate({x_var([1]): F(1, 2)})
+        with pytest.raises(IncompletePointError):
+            parse_polynomial("x1*x2 + t1").evaluate({x_var([1]): 0})
 
 
 class TestLambdaCoefficients:

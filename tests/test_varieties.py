@@ -231,6 +231,56 @@ class TestPPolynomials:
                     assert p_polynomial(w, indices).lambda_degree() <= d - 1
 
 
+# fixed S6 elements: the identity, the longest element, README's unknown
+# family, and Coxeter-type, involutive and pattern-containing elements
+S6_SAMPLE = (
+    "123456", "654321", "563412", "563421", "653412", "653421", "124356",
+    "214365", "234561", "612345", "351624", "426153", "246135", "315264",
+    "135246", "462513", "214356", "516234", "341265", "265143",
+)
+
+
+class TestPPolynomialsFastPath:
+    """p_polynomials assembles P_{w,I,s} from cached w-independent pieces;
+    it must agree with splitting the reference p_polynomial(w, I)."""
+
+    @staticmethod
+    def reference(w):
+        out = {}
+        for d in range(1, w.n):
+            for indices in itertools.combinations(range(1, w.n + 1), d):
+                coeffs = p_polynomial(w, indices).lambda_coefficients()
+                for s in range(d):
+                    out[(d, indices, s)] = (
+                        coeffs[s] if s < len(coeffs) else SparsePolynomial.zero()
+                    )
+        return out
+
+    @pytest.mark.parametrize(
+        "elements",
+        [all_perms(4), all_perms(5), [P(x) for x in S6_SAMPLE]],
+        ids=["S4", "S5", "S6-sample"],
+    )
+    def test_matches_reference(self, elements):
+        for w in elements:
+            fast = p_polynomials(w).p_equations
+            ref = self.reference(w)
+            assert list(fast) == list(ref), w.to_string()
+            assert fast == ref, w.to_string()
+            assert all(
+                type(c) is int for poly in fast.values() for _, c in poly.sorted_terms()
+            ), w.to_string()
+
+    def test_integral_point_coordinates_are_int(self):
+        w = P("4231")
+        plucker_values, psi = sample_point_on_Vw(w, 3)
+        point = point_assignment(4, plucker_values, psi)
+        for v, value in point.items():
+            assert type(value) in (int, F)
+            assert (type(value) is int) == (F(value).denominator == 1)
+        assert all(type(point[x_var(tup)]) is int for tup in plucker_values)
+
+
 def _coefficient_of_x(poly, indices):
     """Collect the coefficient polynomial of the variable x_indices."""
     target = x_var(indices)
