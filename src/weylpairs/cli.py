@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import multiprocessing
 import os
 import sys
@@ -20,9 +21,11 @@ from .mingen import min_gen_subsystem, min_gen_type_A_orbits
 from .pairs import (
     CRITERIA,
     EnumerationSummary,
+    check_enumeration,
     enumerate_block,
     enumerate_pairs,
     is_good_orbitwise,
+    orbitwise_verdict,
 )
 from .patterns import left_bad_exists, right_bad_exists, verify_pattern_theorem
 from .serialize import (
@@ -150,15 +153,19 @@ def _block_task(task):
 
 
 def cmd_pairs_enumerate(args) -> int:
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
+    check_enumeration(args.n, args.filter, args.allow_large)
     out = _open_out(args.out)
     try:
         if args.jobs > 1:
-            return _enumerate_parallel(args, out)
-        summary = EnumerationSummary(args.n)
-        for v in enumerate_pairs(
-            args.n, args.filter, allow_large=args.allow_large, summary=summary
-        ):
-            _emit(verdict_dict(v), out)
+            summary = _enumerate_parallel(args, out)
+        else:
+            summary = EnumerationSummary(args.n)
+            for v in enumerate_pairs(
+                args.n, args.filter, allow_large=args.allow_large, summary=summary
+            ):
+                _emit(verdict_dict(v), out)
         _emit(
             {
                 "summary": True,
@@ -174,51 +181,25 @@ def cmd_pairs_enumerate(args) -> int:
             out.close()
 
 
-def _enumerate_parallel(args, out) -> int:
-    import math
-
-    if not 2 <= args.n <= 7:
-        raise ValueError("enumeration supports 2 <= n <= 7")
-    if args.n >= 7 and not args.allow_large:
-        raise ValueError("n = 7 is large; pass --allow-large")
+def _enumerate_parallel(args, out) -> EnumerationSummary:
     total = math.factorial(args.n)
     nblocks = min(total, args.jobs * 4)
     bounds = [
         (total * k // nblocks, total * (k + 1) // nblocks) for k in range(nblocks)
     ]
-    comparable = bad = 0
+    summary = EnumerationSummary(args.n)
     with multiprocessing.Pool(args.jobs) as pool:
         tasks = [(args.n, lo, hi, args.filter) for lo, hi in bounds]
         # imap preserves task order, so output stays deterministic while
         # blocks stream out as they finish
         for bidx, (rows, ncomp, nbad) in enumerate(pool.imap(_block_task, tasks)):
-            comparable += ncomp
-            bad += nbad
+            summary.total_comparable += ncomp
+            summary.bad_count += nbad
             for t1, t2, violation in rows:
-                rec = {
-                    "w1": Permutation(t1).to_string(),
-                    "w2": Permutation(t2).to_string(),
-                    "comparable": True,
-                    "verdict": "good" if violation is None else "bad",
-                    "criterion": "orbitwise",
-                    "chain_witness": None,
-                    "parabolic": None,
-                    "violating_orbit": None
-                    if violation is None
-                    else {"orbit": list(violation[0]), "i": violation[1], "j": violation[2]},
-                }
-                _emit(rec, out)
+                verdict = orbitwise_verdict(Permutation(t1), Permutation(t2), violation)
+                _emit(verdict_dict(verdict), out)
             print(f"block {bidx + 1}/{nblocks} done", file=sys.stderr)
-    _emit(
-        {
-            "summary": True,
-            "n": args.n,
-            "total_comparable": comparable,
-            "bad_count": bad,
-        },
-        out,
-    )
-    return 0
+    return summary
 
 
 def cmd_patterns_verify(args) -> int:

@@ -75,6 +75,44 @@ def _tuples_leq(t1, t2) -> bool:
     return all(a <= b for a, b in zip(_sorted_prefixes(t1), _sorted_prefixes(t2)))
 
 
+# Packed tableaux: the sorted-prefix tableau of a permutation as one int, one
+# FIELD_BITS-wide field per entry holding a value 1..n under a guard bit.  For
+# U and W packed that way and H the guard bits, ((W | H) - U) & H == H iff no
+# field of U exceeds its field of W: guard + w - u stays >= 0 in every field,
+# so no borrow crosses into the next one (SWAR, Lamport, CACM 1975).
+FIELD_BITS = 5
+MAX_PACKED_N = (1 << (FIELD_BITS - 1)) - 1
+
+
+def _packed_tableaux(tuples) -> tuple[list[int], int]:
+    """The packed tableaux of the one-line tuples of S_n, each with its guard
+    bits set, and the guard mask H."""
+    n = len(tuples[0])
+    if n > MAX_PACKED_N:
+        raise ValueError(f"packed tableaux support n <= {MAX_PACKED_N}")
+    fields = n * (n + 1) // 2
+    guard = sum(1 << (FIELD_BITS * k + FIELD_BITS - 1) for k in range(fields))
+    guarded = []
+    for t in tuples:
+        packed = 0
+        for v in _sorted_prefixes(t):
+            packed = packed << FIELD_BITS | v
+        guarded.append(packed | guard)
+    return guarded, guard
+
+
+def _leq_indices(guarded: list[int], guard: int, i: int) -> list[int]:
+    """The indices j with element i <= element j in Bruhat order, for the
+    packed tableaux ``guarded`` of S_n in lexicographic order.
+
+    Bruhat order refines to lexicographic order (at the first position k
+    where u < w differ, the prefix-set criterion forces u(k) < w(k)), so only
+    j >= i are tested.
+    """
+    u = guarded[i] ^ guard
+    return [j for j in range(i, len(guarded)) if (guarded[j] - u) & guard == guard]
+
+
 def _positions(t) -> list[int]:
     pos = [0] * (len(t) + 1)
     for idx, v in enumerate(t):
@@ -83,16 +121,29 @@ def _positions(t) -> list[int]:
 
 
 def _box_violation(t1, t2) -> Optional[tuple]:
-    """First orbit of w1 w2^{-1} with a box-count failure, as (orbit, i, j).
+    """First orbit of w1 w2^{-1} with a box-count failure, as (orbit, i, j),
+    for a Bruhat-comparable pair w1 <= w2."""
+    return _orbit_violation(t1, _positions(t1), _positions(t2))
+
+
+def _orbit_violation(t1, pos1, pos2) -> Optional[tuple]:
+    """``_box_violation`` for w1 = t1, given the positions of the values in
+    w1 and in w2 (``_positions``).
 
     For each nontrivial orbit of values, insert positions in decreasing value
     order; the restricted counts w1[i,j]_orbit <= w2[i,j]_orbit for all i hold
     iff the k-th smallest w1-position never precedes the k-th smallest
-    w2-position.
+    w2-position.  The orbit's minimum is never inserted: w1 and w2 hold a
+    whole orbit at the same set of positions, so the last step cannot fail.
+
+    With fewer than two nontrivial orbits nothing can fail: a value fixed by
+    w1 w2^{-1} sits at the same position in w1 and w2, so it adds the same
+    amount to both box counts, and the counts restricted to a single orbit
+    differ exactly as the full counts do, which comparability bounds.
     """
     n = len(t1)
-    pos1, pos2 = _positions(t1), _positions(t2)
     seen = [False] * (n + 1)
+    orbits = []
     for start in range(1, n + 1):
         if seen[start]:
             continue
@@ -102,16 +153,19 @@ def _box_violation(t1, t2) -> Optional[tuple]:
             seen[v] = True
             orbit.append(v)
             v = t1[pos2[v] - 1]  # sigma(v) = w1(w2^{-1}(v))
-        if len(orbit) < 2:
-            continue
+        if len(orbit) > 1:
+            orbits.append(sorted(orbit))
+    if len(orbits) < 2:
+        return None
+    for orbit in orbits:
         a_pos: list[int] = []
         b_pos: list[int] = []
-        for v in sorted(orbit, reverse=True):
+        for v in reversed(orbit[1:]):
             insort(a_pos, pos1[v])
             insort(b_pos, pos2[v])
             for k in range(len(a_pos)):
                 if a_pos[k] < b_pos[k]:
-                    return (tuple(sorted(orbit)), a_pos[k], v)
+                    return (tuple(orbit), a_pos[k], v)
     return None
 
 
@@ -213,12 +267,14 @@ def is_good_orbitwise(w1: Permutation, w2: Permutation) -> PairVerdict:
     t1, t2 = w1.one_line, w2.one_line
     if not _tuples_leq(t1, t2):
         return _incomparable(w1, w2, "orbitwise")
-    violation = _box_violation(t1, t2)
+    return orbitwise_verdict(w1, w2, _box_violation(t1, t2))
+
+
+def orbitwise_verdict(w1, w2, violation) -> PairVerdict:
+    """The orbitwise verdict of a comparable pair from its box violation."""
     if violation is None:
         return PairVerdict(w1, w2, True, "good", "orbitwise")
-    return PairVerdict(
-        w1, w2, True, "bad", "orbitwise", violating_orbit=violation
-    )
+    return PairVerdict(w1, w2, True, "bad", "orbitwise", violating_orbit=violation)
 
 
 # ---------------------------------------------------------------------------
@@ -241,8 +297,7 @@ def is_good_flattening(w1: Permutation, w2: Permutation) -> PairVerdict:
     t1, t2 = w1.one_line, w2.one_line
     if not _tuples_leq(t1, t2):
         return _incomparable(w1, w2, "flattening")
-    tau = (w1.inverse() * w2).one_line
-    for orbit in _cycle_sets(tau):
+    for orbit in (w1.inverse() * w2).orbits():
         if len(orbit) < 2:
             continue
         f1 = flatten_tuple(t1, orbit)
@@ -252,23 +307,6 @@ def is_good_flattening(w1: Permutation, w2: Permutation) -> PairVerdict:
                 PairVerdict(w1, w2, True, "bad", "flattening")
             )
     return PairVerdict(w1, w2, True, "good", "flattening")
-
-
-def _cycle_sets(t) -> list[tuple[int, ...]]:
-    n = len(t)
-    seen = [False] * (n + 1)
-    out = []
-    for s in range(1, n + 1):
-        if seen[s]:
-            continue
-        orb = []
-        c = s
-        while not seen[c]:
-            seen[c] = True
-            orb.append(c)
-            c = t[c - 1]
-        out.append(tuple(sorted(orb)))
-    return out
 
 
 CRITERIA = {
@@ -290,6 +328,51 @@ class EnumerationSummary:
     bad_count: int = 0
 
 
+def check_enumeration(n: int, verdict_filter: str = "all", allow_large: bool = False) -> None:
+    """Reject an exhaustive sweep outside 2 <= n <= LARGE_ENUMERATION_N, an
+    n = LARGE_ENUMERATION_N sweep without ``allow_large``, or an unknown
+    filter."""
+    if not 2 <= n <= LARGE_ENUMERATION_N:
+        raise ValueError(f"enumeration supports 2 <= n <= {LARGE_ENUMERATION_N}")
+    if n >= LARGE_ENUMERATION_N and not allow_large:
+        raise ValueError(
+            f"n = {n} enumerates {math.factorial(n) ** 2} ordered pairs; "
+            "pass allow_large=True (CLI: --allow-large) to proceed"
+        )
+    if verdict_filter not in ("good", "bad", "all"):
+        raise ValueError(f"unknown filter {verdict_filter!r}")
+
+
+def lex_tuples(n: int) -> list[tuple[int, ...]]:
+    """The one-line tuples of S_n in lexicographic order."""
+    return sorted(itertools.permutations(range(1, n + 1)))
+
+
+def classify_block(n: int, lo: int, hi: int, summary: EnumerationSummary):
+    """Yield (t1, t2, violation) for every comparable pair whose w1 has
+    lexicographic index in [lo, hi), in lexicographic (w1, w2) order;
+    ``violation`` is ``_box_violation(t1, t2)``, None for a good pair.
+    ``summary`` counts the comparable and bad pairs as they stream."""
+    tuples = lex_tuples(n)
+    guarded, guard = _packed_tableaux(tuples)
+    positions = [_positions(t) for t in tuples]
+    for i in range(lo, hi):
+        t1, pos1 = tuples[i], positions[i]
+        row = _leq_indices(guarded, guard, i)
+        summary.total_comparable += len(row)
+        for j in row:
+            violation = _orbit_violation(t1, pos1, positions[j])
+            if violation is not None:
+                summary.bad_count += 1
+            yield t1, tuples[j], violation
+
+
+def _kept(verdict_filter: str, violation) -> bool:
+    if verdict_filter == "all":
+        return True
+    return (violation is None) == (verdict_filter == "good")
+
+
 def enumerate_pairs(
     n: int,
     verdict_filter: str = "all",
@@ -301,57 +384,24 @@ def enumerate_pairs(
 
     If a ``summary`` is supplied its counters are updated while streaming.
     """
-    if not 2 <= n <= LARGE_ENUMERATION_N:
-        raise ValueError(f"enumeration supports 2 <= n <= {LARGE_ENUMERATION_N}")
-    if n >= LARGE_ENUMERATION_N and not allow_large:
-        raise ValueError(
-            f"n = {n} enumerates {math.factorial(n) ** 2} ordered pairs; "
-            "pass allow_large=True (CLI: --allow-large) to proceed"
-        )
-    if verdict_filter not in ("good", "bad", "all"):
-        raise ValueError(f"unknown filter {verdict_filter!r}")
-    tuples = sorted(itertools.permutations(range(1, n + 1)))
-    perms = {t: Permutation(t) for t in tuples}
-    for t1 in tuples:
-        for t2 in tuples:
-            if not _tuples_leq(t1, t2):
-                continue
-            if summary is not None:
-                summary.total_comparable += 1
-            violation = _box_violation(t1, t2)
-            if violation is None:
-                if verdict_filter in ("all", "good"):
-                    yield PairVerdict(perms[t1], perms[t2], True, "good", "orbitwise")
-            else:
-                if summary is not None:
-                    summary.bad_count += 1
-                if verdict_filter in ("all", "bad"):
-                    yield PairVerdict(
-                        perms[t1], perms[t2], True, "bad", "orbitwise",
-                        violating_orbit=violation,
-                    )
+    check_enumeration(n, verdict_filter, allow_large)
+    if summary is None:
+        summary = EnumerationSummary(n)
+    perms = {t: Permutation(t) for t in lex_tuples(n)}
+    for t1, t2, violation in classify_block(n, 0, len(perms), summary):
+        if _kept(verdict_filter, violation):
+            yield orbitwise_verdict(perms[t1], perms[t2], violation)
 
 
 def enumerate_block(n: int, lo: int, hi: int, verdict_filter: str) -> tuple[list, int, int]:
-    """Classify the pairs whose w1 has lexicographic index in [lo, hi).
+    """Classify the pairs whose w1 has lexicographic index in [lo, hi), as
+    rows (t1, t2, violation) plus the block's comparable and bad counts.
 
     Worker unit for parallel enumeration: deterministic output independent of
     scheduling, merged in block order by the caller.
     """
-    tuples = sorted(itertools.permutations(range(1, n + 1)))
-    rows = []
-    comparable = bad = 0
-    for t1 in tuples[lo:hi]:
-        for t2 in tuples:
-            if not _tuples_leq(t1, t2):
-                continue
-            comparable += 1
-            violation = _box_violation(t1, t2)
-            if violation is not None:
-                bad += 1
-            if verdict_filter == "bad" and violation is None:
-                continue
-            if verdict_filter == "good" and violation is not None:
-                continue
-            rows.append((t1, t2, violation))
-    return rows, comparable, bad
+    summary = EnumerationSummary(n)
+    rows = [
+        row for row in classify_block(n, lo, hi, summary) if _kept(verdict_filter, row[2])
+    ]
+    return rows, summary.total_comparable, summary.bad_count

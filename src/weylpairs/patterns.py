@@ -9,11 +9,17 @@ w on the witness positions to produce a concrete bad pair.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from typing import Optional
 
-from .pairs import _box_violation, _tuples_leq, flatten_tuple, is_good_orbitwise
+from .pairs import (
+    EnumerationSummary,
+    check_enumeration,
+    classify_block,
+    flatten_tuple,
+    is_good_orbitwise,
+    lex_tuples,
+)
 from .weyl import InternalInvariantError, Permutation
 
 # pattern -> the smaller element of a model bad pair (pattern is the larger)
@@ -107,76 +113,63 @@ def _embed_on_positions(w: Permutation, sigma: tuple[int, ...], model) -> Permut
     return Permutation(out)
 
 
-def left_bad_exists(w: Permutation) -> PatternReport:
-    """Does some w' make (w', w) a bad pair?  Pattern test plus a verified
+def _bad_partner_report(w: Permutation, side: str) -> PatternReport:
+    """Pattern test for a bad partner on ``side`` of w, plus a verified
     concrete partner built from the model bad pair."""
-    for pat, model in LEFT_PATTERNS.items():
+    for pat, model in (LEFT_PATTERNS if side == "left" else RIGHT_PATTERNS).items():
         if len(pat) > w.n:
             continue
         sigma = has_pattern(w, Permutation(pat))
         if sigma is None:
             continue
         partner = _embed_on_positions(w, sigma, model)
-        check = is_good_orbitwise(partner, w)
-        if check.verdict != "bad":
+        low, high = (partner, w) if side == "left" else (w, partner)
+        if is_good_orbitwise(low, high).verdict != "bad":
             raise InternalInvariantError(
                 f"model partner embedding failed for {w.to_string()} at {sigma}"
             )
         return PatternReport(
-            w, "left", True,
+            w, side, True,
             witness_pattern=(Permutation(pat), sigma),
             witness_partner=partner,
         )
-    return PatternReport(w, "left", False)
+    return PatternReport(w, side, False)
+
+
+def left_bad_exists(w: Permutation) -> PatternReport:
+    """Does some w' make (w', w) a bad pair?"""
+    return _bad_partner_report(w, "left")
 
 
 def right_bad_exists(w: Permutation) -> PatternReport:
-    """Does some w'' make (w, w'') a bad pair?  Mirror of the left case."""
-    for pat, model in RIGHT_PATTERNS.items():
-        if len(pat) > w.n:
-            continue
-        sigma = has_pattern(w, Permutation(pat))
-        if sigma is None:
-            continue
-        partner = _embed_on_positions(w, sigma, model)
-        check = is_good_orbitwise(w, partner)
-        if check.verdict != "bad":
-            raise InternalInvariantError(
-                f"model partner embedding failed for {w.to_string()} at {sigma}"
-            )
-        return PatternReport(
-            w, "right", True,
-            witness_pattern=(Permutation(pat), sigma),
-            witness_partner=partner,
-        )
-    return PatternReport(w, "right", False)
+    """Does some w'' make (w, w'') a bad pair?"""
+    return _bad_partner_report(w, "right")
 
 
-def _brute_force_bad_partner(t, tuples, side: str) -> bool:
-    """Scan all comparable partners for a box-count violation."""
-    if side == "left":
-        return any(
-            _tuples_leq(o, t) and _box_violation(o, t) is not None for o in tuples
-        )
-    return any(
-        _tuples_leq(t, o) and _box_violation(t, o) is not None for o in tuples
-    )
+def bad_partner_sides(n: int, allow_large: bool = False) -> dict[str, set]:
+    """The one-line tuples with a bad partner on each side, from one pass of
+    the pair classifier: "left" holds every w2 and "right" every w1 of a bad
+    pair (w1, w2)."""
+    check_enumeration(n, allow_large=allow_large)
+    tuples = lex_tuples(n)
+    sides: dict[str, set] = {"left": set(), "right": set()}
+    for t1, t2, violation in classify_block(n, 0, len(tuples), EnumerationSummary(n)):
+        if violation is not None:
+            sides["left"].add(t2)
+            sides["right"].add(t1)
+    return sides
 
 
 def verify_pattern_theorem(n: int, allow_large: bool = False) -> dict:
     """Exhaustively compare the pattern prediction with brute force over all
     partners, on both sides, for every w in S_n."""
-    if not 2 <= n <= 7:
-        raise ValueError("supported range is 2 <= n <= 7")
-    if n == 7 and not allow_large:
-        raise ValueError("n = 7 scans 5040^2 pairs; pass allow_large=True")
-    tuples = sorted(itertools.permutations(range(1, n + 1)))
+    brute_sides = bad_partner_sides(n, allow_large)
     mismatches = []
-    for t in tuples:
+    for t in lex_tuples(n):
         w = Permutation(t)
         for side, report_fn in (("left", left_bad_exists), ("right", right_bad_exists)):
             predicted = report_fn(w).has_bad_partner
-            brute = _brute_force_bad_partner(t, tuples, side)
+            brute = t in brute_sides[side]
             if predicted != brute:
                 mismatches.append(
                     {"w": w.to_string(), "side": side,

@@ -3,14 +3,17 @@
 The S4 line is backed by the pre-build brute-force oracle fixture; the S5
 line was confirmed by all four criteria agreeing pair by pair; the S6 bad
 set is confirmed by the scanner-consistency and pattern-theorem checks.
+The S7 line is README's table row, behind the opt-in ``exhaustive`` marker.
 """
+
+import pytest
 
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs
 
 
-def census(n):
+def census(n, allow_large=False):
     summary = EnumerationSummary(n)
-    for _ in enumerate_pairs(n, "bad", summary=summary):
+    for _ in enumerate_pairs(n, "bad", allow_large=allow_large, summary=summary):
         pass
     return summary.total_comparable, summary.bad_count
 
@@ -24,3 +27,8 @@ def test_small_censuses_are_stable():
 
 def test_s6_census_is_stable():
     assert census(6) == (98407, 3753)
+
+
+@pytest.mark.exhaustive
+def test_s7_census_matches_readme():
+    assert census(7, allow_large=True) == (3550919, 236481)

@@ -81,10 +81,15 @@ class TestEnumerate:
         validate(records[0], "pair_verdict")
         assert (records[0]["w1"], records[0]["w2"]) == ("1324", "4231")
 
-    def test_parallel_matches_serial(self):
-        _, serial = run(["pairs", "enumerate", "--n", "4", "--filter", "all"])
+    @pytest.mark.parametrize(
+        "n, verdict_filter",
+        [("4", "all"), ("5", "bad"), ("5", "good"), ("5", "all")],
+        ids=["n4-all", "n5-bad", "n5-good", "n5-all"],
+    )
+    def test_parallel_matches_serial(self, n, verdict_filter):
+        _, serial = run(["pairs", "enumerate", "--n", n, "--filter", verdict_filter])
         _, parallel = run(
-            ["pairs", "enumerate", "--n", "4", "--filter", "all", "--jobs", "2"]
+            ["pairs", "enumerate", "--n", n, "--filter", verdict_filter, "--jobs", "2"]
         )
         assert serial == parallel
 
@@ -251,12 +256,14 @@ class TestInputContract:
             ["witness", "verify", "--n", "4", "--w", "1324", "--wprime", "4231"],
             ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "4231",
              "--a", "1", "--b", "2"],
+            ["pairs", "enumerate", "--n", "3", "--jobs", "0"],
+            ["pairs", "enumerate", "--n", "3", "--jobs", "-5"],
         ],
         ids=[
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
             "witness-b-alone", "samples-0", "samples-negative",
             "scan-incomparable", "scan-reversed", "scan-good", "witness-incomparable",
-            "witness-reversed", "witness-good-explicit-ab",
+            "witness-reversed", "witness-good-explicit-ab", "jobs-0", "jobs-negative",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):

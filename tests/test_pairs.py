@@ -1,6 +1,7 @@
 """Good/bad pair classification: criteria, witnesses, enumeration."""
 
 import json
+import random
 from pathlib import Path
 
 import pytest
@@ -8,13 +9,19 @@ import pytest
 from weylpairs.mingen import min_gen_subsystem
 from weylpairs.pairs import (
     CRITERIA,
+    MAX_PACKED_N,
     EnumerationSummary,
+    _box_violation,
+    _leq_indices,
+    _packed_tableaux,
+    _tuples_leq,
     enumerate_block,
     enumerate_pairs,
     is_good_chain,
     is_good_flattening,
     is_good_orbitwise,
     is_good_parabolic,
+    lex_tuples,
 )
 from weylpairs.weyl import Permutation
 
@@ -231,6 +238,53 @@ class TestEnumeration:
         assert merged == serial
         assert comparable == FIXTURE["total_comparable"]
         assert bad == FIXTURE["bad_count"]
+
+
+class TestFastPathsAgainstReferences:
+    """The enumeration's packed comparability rows and box-violation shortcut
+    against the plain tableau criterion and direct box counts."""
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_packed_rows_match_tuples_leq(self, n):
+        tuples = lex_tuples(n)
+        guarded, guard = _packed_tableaux(tuples)
+        for i, t1 in enumerate(tuples):
+            expected = [j for j, t2 in enumerate(tuples) if _tuples_leq(t1, t2)]
+            assert _leq_indices(guarded, guard, i) == expected
+
+    def test_packed_rows_at_the_widest_field(self):
+        rng = random.Random(3)
+        n = MAX_PACKED_N
+        tuples = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(60)})
+        tuples = [tuple(range(1, n + 1))] + tuples + [tuple(range(n, 0, -1))]
+        guarded, guard = _packed_tableaux(tuples)
+        for i, t1 in enumerate(tuples):
+            expected = [j for j, t2 in enumerate(tuples) if _tuples_leq(t1, t2)]
+            assert _leq_indices(guarded, guard, i) == expected
+
+    def test_packed_tableaux_reject_wider_values(self):
+        with pytest.raises(ValueError):
+            _packed_tableaux([tuple(range(1, MAX_PACKED_N + 2))])
+
+    def test_box_violation_matches_box_counts_on_s5(self):
+        n = 5
+        boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+        perms = all_perms(n)
+        for w1 in perms:
+            for w2 in perms:
+                if not _tuples_leq(w1.one_line, w2.one_line):
+                    continue
+                failing = [
+                    orbit for orbit in (w1 * w2.inverse()).orbits()
+                    if any(w1.box_count(i, j, orbit) > w2.box_count(i, j, orbit)
+                           for i, j in boxes)
+                ]
+                violation = _box_violation(w1.one_line, w2.one_line)
+                assert (violation is None) == (not failing), (w1, w2)
+                if violation is not None:
+                    orbit, i, j = violation
+                    assert orbit == failing[0]
+                    assert w1.box_count(i, j, orbit) > w2.box_count(i, j, orbit)
 
 
 class TestS5NamedPairs:

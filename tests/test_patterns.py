@@ -5,10 +5,11 @@ import random
 
 import pytest
 
-from weylpairs.pairs import is_good_orbitwise
+from weylpairs.pairs import _box_violation, _tuples_leq, is_good_orbitwise
 from weylpairs.patterns import (
     LEFT_PATTERNS,
     RIGHT_PATTERNS,
+    bad_partner_sides,
     flatten,
     has_pattern,
     left_bad_exists,
@@ -159,6 +160,17 @@ class TestTheorem:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_no_mismatches(self, n):
         assert verify_pattern_theorem(n) == {"n": n, "mismatches": []}
+
+    @pytest.mark.parametrize("n", [4, 5])
+    def test_projected_sides_match_brute_force(self, n):
+        tuples = list(itertools.permutations(range(1, n + 1)))
+        bad = [
+            (a, b) for a in tuples for b in tuples
+            if _tuples_leq(a, b) and _box_violation(a, b) is not None
+        ]
+        assert bad_partner_sides(n) == {
+            "left": {b for _, b in bad}, "right": {a for a, _ in bad}
+        }
 
     def test_n4_left_set_is_4231_containers(self):
         containers = {
