@@ -1,19 +1,23 @@
 """Exact linear algebra over the rationals.
 
 Vectors are tuples of :class:`fractions.Fraction`; matrices are sequences of
-such rows.  All eliminations are fraction-free in the Bareiss style: rows are
-first scaled to integers, and the single-step elimination
+such rows, whose entries may also be ``int``.  Rank, kernels and inverses
+share one fraction-free Gauss-Jordan core on integer rows: each row is first
+scaled by the lcm of its denominators, and the Bareiss step
 
-    m[r][c] <- (m[r][c] * pivot - m[r][pc] * m[piv][c]) / previous_pivot
+    m[i][j] <- (m[i][j] * pivot - m[i][c] * m[r][j]) // previous_pivot
 
-keeps every intermediate entry an integer while bounding coefficient growth.
-Nothing here ever touches floating point.
+applied to every row i other than the pivot row r keeps each entry an
+integer (a minor of the scaled matrix) and leaves every pivot equal to one
+integer D.  A ``Fraction`` is created only for a rational result, by one
+division by D at the end.  ``det`` and ``mat_mul`` work on ``Fraction``
+entries directly.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import lcm
 from typing import Sequence
 
 Vector = tuple[Fraction, ...]
@@ -48,21 +52,32 @@ def is_zero_vector(x: Vector) -> bool:
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
-    """Scale each row by the lcm of its denominators (kernel/rank preserved)."""
+    """Scale each row by the lcm of its denominators (kernel/rank preserved).
+
+    Entries may be ``int`` or ``Fraction``; both carry ``numerator`` and
+    ``denominator``, so an integral row is copied without any arithmetic.
+    """
     rows = []
     for row in m:
-        fracs = [Fraction(x) for x in row]
         scale = 1
-        for x in fracs:
-            scale = scale // gcd(scale, x.denominator) * x.denominator
-        rows.append([int(x * scale) for x in fracs])
+        for x in row:
+            if x.denominator != 1:
+                scale = lcm(scale, x.denominator)
+        if scale == 1:
+            rows.append([x.numerator for x in row])
+        else:
+            rows.append([x.numerator * (scale // x.denominator) for x in row])
     return rows
 
 
-def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]:
-    """In-place fraction-free forward elimination.
+def _gauss_jordan(rows: list[list[int]]) -> tuple[list[int], int]:
+    """In-place fraction-free Gauss-Jordan reduction of an integer matrix.
 
-    Returns the echelon rows and the list of pivot column indices.
+    Every row other than the pivot row is updated, so the result is the
+    reduced row echelon form scaled by one integer D: row r holds D in
+    column ``pivots[r]``, 0 in every other pivot column, and rows past the
+    rank are zero.  Returns the pivot columns and D (1 when there is no
+    pivot).
     """
     n_rows = len(rows)
     n_cols = len(rows[0]) if n_rows else 0
@@ -76,11 +91,17 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         if piv != r:
             rows[r], rows[piv] = rows[piv], rows[r]
         pivots.append(c)
-        p = rows[r][c]
-        for i in range(r + 1, n_rows):
-            f = rows[i][c]
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, n_cols):
+        row_r = rows[r]
+        p = row_r[c]
+        for i in range(n_rows):
+            if i == r:
+                continue
+            # a row is zero left of its own pivot, and every row below r
+            # is zero left of c
+            start = pivots[i] if i < r else c
+            row_i = rows[i]
+            f = row_i[c]
+            for j in range(start, n_cols):
                 q, rem = divmod(row_i[j] * p - f * row_r[j], prev)
                 if rem:  # cannot happen for Bareiss updates; guards the invariant
                     raise ArithmeticError("fraction-free elimination lost exactness")
@@ -89,42 +110,53 @@ def _bareiss_echelon(rows: list[list[int]]) -> tuple[list[list[int]], list[int]]
         r += 1
         if r == n_rows:
             break
-    return rows, pivots
+    return pivots, prev
 
 
 def rank(m: Matrix) -> int:
     if not m:
         return 0
-    _, pivots = _bareiss_echelon(_integer_rows(m))
+    pivots, _ = _gauss_jordan(_integer_rows(m))
     return len(pivots)
 
 
-def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Exact basis of the right null space {x : m x = 0}.
+def integer_kernel(m: Matrix, ncols: int | None = None) -> tuple[list[list[int]], int]:
+    """Basis of the right null space {x : m x = 0} as integer numerators
+    over one common denominator D: basis vector k is ``numerators[k] / D``.
 
+    Vector k has 1 in the k-th free column, 0 in the other free columns,
+    and ``-rows[r][fc] / D`` in pivot column r of the scaled reduced form;
+    that basis is unique, so it does not depend on how the rows are scaled.
     ``ncols`` is only needed when ``m`` has no rows.
     """
     if not m:
         if ncols is None:
             raise ValueError("kernel of an empty matrix needs an explicit ncols")
-        return [
-            tuple(Fraction(int(i == j)) for j in range(ncols)) for i in range(ncols)
-        ]
-    rows, pivots = _bareiss_echelon(_integer_rows(m))
+        return [[int(i == j) for j in range(ncols)] for i in range(ncols)], 1
+    rows = _integer_rows(m)
+    pivots, d = _gauss_jordan(rows)
     n_cols = len(rows[0])
     pivot_set = set(pivots)
-    free_cols = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
-    for fc in free_cols:
-        x = [Fraction(0)] * n_cols
-        x[fc] = Fraction(1)
-        # echelon rows are triangular on the pivot columns: back substitute
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            s = sum((Fraction(rows[r][j]) * x[j] for j in range(pc + 1, n_cols)), Fraction(0))
-            x[pc] = -s / rows[r][pc]
-        basis.append(tuple(x))
-    return basis
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
+        x = [0] * n_cols
+        x[fc] = d
+        for r, pc in enumerate(pivots):
+            x[pc] = -rows[r][fc]
+        basis.append(x)
+    return basis, d
+
+
+def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Vector]:
+    """Exact basis of the right null space {x : m x = 0}: the vector for
+    each free column has 1 there and 0 in the other free columns.
+
+    ``ncols`` is only needed when ``m`` has no rows.
+    """
+    basis, d = integer_kernel(m, ncols)
+    return [tuple(Fraction(x, d) for x in vec) for vec in basis]
 
 
 def in_span(basis: Sequence[Vector], v: Vector) -> bool:
@@ -184,25 +216,26 @@ def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
 
 
-def mat_inverse(m: Matrix) -> list[list[Fraction]]:
-    """Exact inverse via Gauss-Jordan on an augmented matrix."""
+def scaled_inverse(m: Matrix) -> tuple[list[list[int]], int]:
+    """Integer matrix A and integer D with m^{-1} = A / D.
+
+    Gauss-Jordan on [m | I]; scaling a row of the augmented matrix scales
+    the same row of I, so the right block still ends as D m^{-1}.  For an
+    integer m, A is the adjugate up to the sign of D.
+    """
     n = len(m)
     if any(len(row) != n for row in m):
         raise ValueError("inverse of a non-square matrix")
-    aug = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(m)
-    ]
-    for c in range(n):
-        piv = next((i for i in range(c, n) if aug[i][c] != 0), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        if piv != c:
-            aug[c], aug[piv] = aug[piv], aug[c]
-        p = aug[c][c]
-        aug[c] = [x / p for x in aug[c]]
-        for i in range(n):
-            if i != c and aug[i][c] != 0:
-                f = aug[i][c]
-                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
-    return [row[n:] for row in aug]
+    aug = _integer_rows(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    )
+    pivots, d = _gauss_jordan(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in aug], d
+
+
+def mat_inverse(m: Matrix) -> list[list[Fraction]]:
+    """Exact inverse via fraction-free Gauss-Jordan on an augmented matrix."""
+    a, d = scaled_inverse(m)
+    return [[Fraction(x, d) for x in row] for row in a]

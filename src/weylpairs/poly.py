@@ -19,6 +19,7 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from .roots import subset_leq
@@ -235,21 +236,44 @@ class SparsePolynomial:
     def evaluate(self, point: Mapping[Variable, Fraction]) -> Fraction:
         """Exact evaluation at a point of ``int``/``Fraction`` values; every
         variable must be assigned, except that a monomial stops at its first
-        zero factor."""
-        total = 0
+        zero factor.
+
+        Integer factors multiply the monomial directly.  A ``Fraction``
+        factor puts its numerator into the monomial and its denominator into
+        the monomial's denominator; monomials with a denominator are summed
+        separately over one running denominator, with one gcd each, so no
+        ``Fraction`` arithmetic runs until the single result is built.
+        """
+        total = 0  # monomials without a denominator
+        frac_num, frac_den = 0, 1  # the others
         for mono, c in self._terms.items():
             val = c
+            den = 1
             for v, e in mono:
                 try:
                     base = point[v]
                 except KeyError:
                     raise IncompletePointError(f"no value for variable {var_name(v)}")
                 if not base:
-                    val = 0
-                    break
-                val *= base if e == 1 else base**e
-            total += val
-        return Fraction(total)
+                    break  # the monomial is 0
+                if type(base) is int:
+                    val *= base if e == 1 else base**e
+                elif e == 1:
+                    val *= base.numerator
+                    den *= base.denominator
+                else:
+                    val *= base.numerator**e
+                    den *= base.denominator**e
+            else:
+                if den == 1:
+                    total += val
+                else:
+                    g = gcd(frac_den, den)
+                    frac_num = frac_num * (den // g) + val * (frac_den // g)
+                    frac_den = frac_den // g * den
+        if frac_den == 1:
+            return Fraction(total)
+        return Fraction(total * frac_den + frac_num, frac_den)
 
     # -- serialization ------------------------------------------------------------
     def canonical_str(self) -> str:

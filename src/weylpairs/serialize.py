@@ -158,16 +158,13 @@ def witness_dict(wv: WitnessVerification) -> dict:
 
 
 def counterexample_dict(rep: CounterexampleReport) -> dict:
+    hits = [{"q": h.q, "a": h.a, "b": h.b, "variant": h.variant} for h in rep.hits]
     return {
         "w": rep.w.to_string(),
         "w_prime": rep.w_prime.to_string(),
         "status": rep.status,
-        "hits": [
-            {"q": h.q, "a": h.a, "b": h.b, "variant": h.variant} for h in rep.hits
-        ],
-        "orbit_separated_hits": [
-            {"q": h.q, "a": h.a, "b": h.b, "variant": h.variant}
-            for h in rep.orbit_separated_hits
-        ],
+        "hits": hits,
+        # every hit is orbit-separated; the key stays until the interface version changes
+        "orbit_separated_hits": hits,
         "witness": witness_dict(rep.witness) if rep.witness is not None else None,
     }

@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional
 
-from .linalg import det, kernel_basis, mat_inverse, mat_mul
+from .linalg import integer_kernel, scaled_inverse
 from .poly import (
     LAMBDA,
     SparsePolynomial,
@@ -271,44 +271,65 @@ def fiber_equations(w: Permutation, w_prime: Permutation) -> tuple[tuple[int, in
 # rational sampling of cell points
 # ---------------------------------------------------------------------------
 
-def _random_upper_invertible(rng: random.Random, n: int) -> list[list[Fraction]]:
-    m = [[Fraction(0)] * n for _ in range(n)]
+def _random_upper_invertible(rng: random.Random, n: int) -> list[list[int]]:
+    m = [[0] * n for _ in range(n)]
     for i in range(n):
         for _ in range(100):
             v = rng.randint(-COEFF_RANGE, COEFF_RANGE)
             if v != 0:
-                m[i][i] = Fraction(v)
+                m[i][i] = v
                 break
         else:  # pragma: no cover - (2*COEFF_RANGE)^-100 chance
             raise RuntimeError("could not draw a nonzero diagonal entry")
         for j in range(i + 1, n):
-            m[i][j] = Fraction(rng.randint(-COEFF_RANGE, COEFF_RANGE))
+            m[i][j] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
     return m
 
 
-def _permutation_matrix(w: Permutation) -> list[list[Fraction]]:
-    n = w.n
-    return [
-        [Fraction(1 if i + 1 == w(j + 1) else 0) for j in range(n)] for i in range(n)
-    ]
+def _leading_minors(g: list[list[int]]) -> dict[tuple[int, ...], int]:
+    """For 1 <= d <= n-1 and every row subset (1-based) of size d, the minor
+    of g on those rows and its first d columns, in combination order.
+
+    Each minor is a Laplace expansion along its last column over the
+    minors of size d-1 of the previous level.
+    """
+    n = len(g)
+    out: dict[tuple[int, ...], int] = {}
+    previous: dict[tuple[int, ...], int] = {(): 1}
+    for d in range(1, n):
+        level = {}
+        for rows in itertools.combinations(range(1, n + 1), d):
+            total = 0
+            for pos, r in enumerate(rows):
+                entry = g[r - 1][d - 1]
+                if entry:
+                    term = entry * previous[rows[:pos] + rows[pos + 1 :]]
+                    total += -term if (d - 1 - pos) % 2 else term
+            level[rows] = total
+        out.update(level)
+        previous = level
+    return out
 
 
 def _sample_cell_point(
     cell_w: Permutation, diag_pairs: tuple, seed: int
 ) -> tuple[dict, tuple]:
     """Shared sampler: a random point of the cell of ``cell_w`` whose psi also
-    satisfies the given diagonal identifications t_p = t_q."""
+    satisfies the given diagonal identifications t_p = t_q.  Every step runs
+    on integers; the psi entries become ``Fraction`` by one division each."""
     n = cell_w.n
     rng = random.Random(seed)
     b1 = _random_upper_invertible(rng, n)
     b2 = _random_upper_invertible(rng, n)
-    g = mat_mul(mat_mul(b1, _permutation_matrix(cell_w)), b2)
-    plucker_values: dict[tuple[int, ...], Fraction] = {}
-    for d in range(1, n):
-        for rows in itertools.combinations(range(1, n + 1), d):
-            sub = [[g[r - 1][c] for c in range(d)] for r in rows]
-            plucker_values[rows] = det(sub)
-    g_inv = mat_inverse(g)
+    # P_w only permutes columns: (b1 P_w)[i][j] = b1[i][w(j+1)-1]
+    b1_pw = [[row[cell_w(j + 1) - 1] for j in range(n)] for row in b1]
+    g = [
+        [sum(row[k] * b2[k][j] for k in range(j + 1)) for j in range(n)]
+        for row in b1_pw
+    ]
+    plucker_values = {rows: Fraction(v) for rows, v in _leading_minors(g).items()}
+    # adj = D g^{-1}; scaling each constraint row by D keeps the kernel
+    adj, _ = scaled_inverse(g)
     unknowns = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
     col_of = {kl: idx for idx, kl in enumerate(unknowns)}
     constraint_rows = []
@@ -316,34 +337,33 @@ def _sample_cell_point(
         for q in range(p):
             # strictly-lower entry (p, q) of g^{-1} E_{kl} g is
             # g^{-1}[p][k-1] * g[l-1][q]
-            constraint_rows.append(
-                [g_inv[p][k - 1] * g[l - 1][q] for (k, l) in unknowns]
-            )
+            constraint_rows.append([adj[p][k - 1] * g[l - 1][q] for (k, l) in unknowns])
     for p, q in diag_pairs:
-        row = [Fraction(0)] * len(unknowns)
-        row[col_of[(p, p)]] = Fraction(1)
-        row[col_of[(q, q)]] = Fraction(-1)
+        row = [0] * len(unknowns)
+        row[col_of[(p, p)]] = 1
+        row[col_of[(q, q)]] = -1
         constraint_rows.append(row)
-    basis = kernel_basis(constraint_rows, ncols=len(unknowns))
-    combo = [Fraction(rng.randint(-COEFF_RANGE, COEFF_RANGE)) for _ in basis]
-    entries = [
-        sum((c * vec[idx] for c, vec in zip(combo, basis)), Fraction(0))
-        for idx in range(len(unknowns))
-    ]
+    basis, denominator = integer_kernel(constraint_rows, ncols=len(unknowns))
+    combo = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in basis]
     psi = [[Fraction(0)] * n for _ in range(n)]
-    for (k, l), val in zip(unknowns, entries):
-        psi[k - 1][l - 1] = val
+    for idx, (k, l) in enumerate(unknowns):
+        psi[k - 1][l - 1] = Fraction(
+            sum(c * vec[idx] for c, vec in zip(combo, basis)), denominator
+        )
     return plucker_values, tuple(tuple(row) for row in psi)
 
 
 def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
     """A random exact rational point of the cell of w.
 
-    Draw invertible upper-triangular b1, b2 and set g = b1 P_w b2, so the
-    flag of g lies in the cell; the Pluecker coordinates are leading minors
-    of g.  Then solve the exact linear system keeping psi upper-triangular
-    with g^{-1} psi g upper-triangular, and take a random rational element of
-    its solution space.
+    Draw invertible upper-triangular integer b1, b2 and set g = b1 P_w b2,
+    so the flag of g lies in the cell; the Pluecker coordinates are the
+    leading-column minors of g, computed level by level by Laplace
+    expansion.  Then solve the exact linear system keeping psi
+    upper-triangular with g^{-1} psi g upper-triangular: its rows are built
+    from adj(g) = D g^{-1}, which has the same kernel, and a random integer
+    combination of the kernel basis gives psi.  Pluecker values and psi
+    entries are ``Fraction``.
     """
     return _sample_cell_point(w, (), seed)
 
@@ -438,7 +458,6 @@ class CounterexampleReport:
     w: Permutation
     w_prime: Permutation
     hits: tuple[Hit, ...]
-    orbit_separated_hits: tuple[Hit, ...]
     status: str  # "refuted" | "unknown"
     witness: Optional[WitnessVerification] = None
 
@@ -485,10 +504,9 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
                 if remark:
                     hits.append(Hit(q, a, b, "remark"))
     hits.sort(key=lambda h: (h.q, h.a, h.b, h.variant))
-    separated = tuple(hits)
     witness = None
-    if separated:
-        witness = verify_witness(w, w_prime, separated[0].a, separated[0].b)
+    if hits:
+        witness = verify_witness(w, w_prime, hits[0].a, hits[0].b)
         if not witness.ok:
             raise VerificationFailedError(
                 f"witness for ({w.to_string()}, {w_prime.to_string()}) failed"
@@ -496,16 +514,21 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
     return CounterexampleReport(
         w=w,
         w_prime=w_prime,
-        hits=separated,
-        orbit_separated_hits=separated,
-        status="refuted" if separated else "unknown",
+        hits=tuple(hits),
+        status="refuted" if hits else "unknown",
         witness=witness,
     )
+
+
+def _check_ab(n: int, a: int, b: int) -> None:
+    if not (1 <= a <= n and 1 <= b <= n):
+        raise ValueError(f"need 1 <= a, b <= {n}, got a={a}, b={b}")
 
 
 def witness_diagonal(w: Permutation, w_prime: Permutation, a: int, b: int) -> tuple[Fraction, ...]:
     """Deterministic diagonal: 0 on the orbit of a, 1 on the orbit of b, then
     2, 3, ... on the remaining orbits in order of smallest element."""
+    _check_ab(w.n, a, b)
     sigma = w * w_prime.inverse()
     orbits = sigma.orbits()
     orbit_a = next(o for o in orbits if a in o)
@@ -545,6 +568,7 @@ def verify_witness(
     """
     n = w.n
     _check_n(n)
+    _check_ab(n, a, b)
     if diagonal is None:
         t = witness_diagonal(w, w_prime, a, b)
     else:

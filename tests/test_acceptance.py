@@ -178,7 +178,7 @@ def test_criterion_5_counterexample_family(s5_bad_pairs):
             for w1, w2 in bad_pairs:
                 rep = additional_equation_scan(w2, w1)
                 assert rep.status == "refuted", (w1, w2)
-                assert rep.orbit_separated_hits
+                assert rep.hits
                 assert rep.witness is not None and rep.witness.ok
         # the unresolved n = 6 pair stays unknown, with the documented cell
         w6, wp6 = Permutation([6, 5, 3, 4, 2, 1]), Permutation([1, 2, 4, 3, 5, 6])

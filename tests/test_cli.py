@@ -2,12 +2,16 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
 import pytest
 from jsonschema import Draft202012Validator
 
+from weylpairs import __version__
 from weylpairs.cli import dispatch
 
 SCHEMA = json.loads(
@@ -256,6 +260,10 @@ class TestInputContract:
             ["witness", "verify", "--n", "4", "--w", "1324", "--wprime", "4231"],
             ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "4231",
              "--a", "1", "--b", "2"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324",
+             "--a", "1", "--b", "9"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324",
+             "--a", "0", "--b", "2"],
             ["pairs", "enumerate", "--n", "3", "--jobs", "0"],
             ["pairs", "enumerate", "--n", "3", "--jobs", "-5"],
         ],
@@ -263,7 +271,8 @@ class TestInputContract:
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
             "witness-b-alone", "samples-0", "samples-negative",
             "scan-incomparable", "scan-reversed", "scan-good", "witness-incomparable",
-            "witness-reversed", "witness-good-explicit-ab", "jobs-0", "jobs-negative",
+            "witness-reversed", "witness-good-explicit-ab", "witness-b-above-n",
+            "witness-a-zero", "jobs-0", "jobs-negative",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):
@@ -288,3 +297,15 @@ class TestUsageErrors:
     def test_bad_permutation_string(self):
         code, _ = run(["mings", "show", "--n", "4", "--w", "4431"])
         assert code == 2
+
+
+def test_python_dash_m_runs_the_cli():
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-m", "weylpairs", "--version"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith(f"weylpairs {__version__} ")

@@ -21,6 +21,8 @@ from weylpairs.poly import (
     var_name,
     x_var,
 )
+from weylpairs.varieties import p_polynomials, point_assignment, sample_point_on_Vw
+from weylpairs.weyl import Permutation
 
 F = Fraction
 
@@ -159,6 +161,63 @@ class TestIntegerCore:
             p.evaluate({x_var([1]): F(1, 2)})
         with pytest.raises(IncompletePointError):
             parse_polynomial("x1*x2 + t1").evaluate({x_var([1]): 0})
+
+
+class TestCommonDenominator:
+    """evaluate folds Fraction factors into one running denominator."""
+
+    def test_dense_points_many_terms(self):
+        rng = random.Random(9)
+        pool = POOL + [x_var([1, 3]), u_var(2, 3), t_var(3)]
+        for _ in range(300):
+            terms = {}
+            for _ in range(rng.randint(1, 25)):
+                mono = tuple((v, rng.randint(1, 3)) for v in rng.sample(pool, rng.randint(0, 3)))
+                if rng.random() < 0.3:
+                    terms[mono] = F(rng.randint(-9, 9), rng.randint(1, 6))
+                else:
+                    terms[mono] = rng.randint(-9, 9)
+            p = SparsePolynomial(terms)
+            point = {}
+            for v in pool:
+                kind = rng.random()
+                if kind < 0.1:
+                    point[v] = 0
+                elif kind < 0.3:
+                    point[v] = rng.randint(-5, 5) or 1
+                else:
+                    point[v] = F(rng.randint(-9, 9) or 1, rng.randint(2, 12))
+            value = p.evaluate(point)
+            assert type(value) is F
+            assert value == fraction_evaluate(p, point)
+
+    def test_fractions_that_cancel_return_an_integral_fraction(self):
+        p = parse_polynomial("x1 + x2 - 2*x1^2")
+        value = p.evaluate({x_var([1]): F(1, 2), x_var([2]): F(1, 2)})
+        assert type(value) is F and value == 1 - F(1, 2)
+        value = parse_polynomial("2*x1*x2").evaluate({x_var([1]): F(1, 2), x_var([2]): F(3)})
+        assert type(value) is F and value == 3
+
+    def test_sampled_cell_point(self):
+        w = Permutation.from_string("35142")
+        eqs = p_polynomials(w)
+        for seed in (1, 2):
+            plucker_values, psi = sample_point_on_Vw(w, seed)
+            point = point_assignment(5, plucker_values, psi)
+            assert any(type(v) is F for v in point.values())
+            for p in (*eqs.plucker, *eqs.incidence, *eqs.p_equations.values()):
+                assert p.evaluate(point) == fraction_evaluate(p, point) == 0
+            # off the cell the values are nonzero and still agree
+            point = {v: c + F(1, 7) for v, c in point.items()}
+            values = [p.evaluate(point) for p in eqs.p_equations.values()]
+            assert any(values)
+            assert values == [fraction_evaluate(p, point) for p in eqs.p_equations.values()]
+
+    def test_zero_factor_after_a_fraction_factor(self):
+        p = parse_polynomial("x1*x2*t1")
+        assert p.evaluate({x_var([1]): F(1, 2), x_var([2]): 0}) == 0
+        with pytest.raises(IncompletePointError):
+            p.evaluate({x_var([1]): F(1, 2), x_var([2]): F(1, 3)})
 
 
 class TestLambdaCoefficients:

@@ -1,6 +1,7 @@
 """Root systems, exact linear algebra, and the index-subset order."""
 
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,13 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from weylpairs.linalg import (
+    _integer_rows,
     det,
     in_span,
     independent_subset,
+    integer_kernel,
     kernel_basis,
     mat_inverse,
     mat_mul,
     rank,
+    scaled_inverse,
     vector,
 )
 from weylpairs.roots import (
@@ -26,6 +30,8 @@ from weylpairs.roots import (
     reflect,
     subset_leq,
 )
+
+from conftest import reference_kernel
 
 F = Fraction
 
@@ -257,3 +263,93 @@ class TestMatrixHelpers:
         assert not in_span([v1, v2], vector([0, 0, 1]))
         picked = independent_subset([v1, v1, v2, vector([1, 1, 2])])
         assert picked == [v1, v2]
+
+
+def random_entry(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return F(0)
+    if kind < 0.6:
+        return F(rng.randint(-6, 6))
+    return F(rng.randint(-9, 9), rng.randint(1, 8))
+
+
+def random_rational_matrices(seed, count):
+    """Seeded matrices of every shape up to 7 x 8, with zero rows, repeated
+    rows, all-zero matrices and fractional entries among them."""
+    rng = random.Random(seed)
+    for k in range(count):
+        nrows, ncols = rng.randint(1, 7), rng.randint(1, 8)
+        if k % 10 == 0:
+            m = [[F(0)] * ncols for _ in range(nrows)]
+        else:
+            m = [[random_entry(rng) for _ in range(ncols)] for _ in range(nrows)]
+            if k % 3 == 0:
+                m.insert(rng.randint(0, nrows), [F(0)] * ncols)
+            if k % 4 == 0:
+                m.append([2 * x for x in m[rng.randrange(nrows)]])
+        yield m, ncols
+
+
+class TestFractionFreeCore:
+    """The Gauss-Jordan core against a textbook Fraction elimination."""
+
+    def test_kernel_and_rank_match_reference(self):
+        shapes = set()
+        for m, ncols in random_rational_matrices(seed=20, count=600):
+            basis, r = reference_kernel(m, ncols)
+            got = kernel_basis(m)
+            assert got == basis
+            assert all(type(x) is F for v in got for x in v)
+            assert rank(m) == r
+            shapes.add((len(m) < ncols, len(m) > ncols, r == 0))
+        assert shapes >= {(True, False, False), (False, True, False), (False, False, False)}
+        assert any(r0 for _, _, r0 in shapes)
+
+    def test_integer_kernel_is_kernel_basis_over_one_denominator(self):
+        for m, ncols in random_rational_matrices(seed=21, count=200):
+            numerators, d = integer_kernel(m)
+            assert all(type(x) is int for v in numerators for x in v)
+            assert kernel_basis(m) == [tuple(F(x, d) for x in v) for v in numerators]
+
+    def test_empty_matrix(self):
+        assert integer_kernel([], ncols=2) == ([[1, 0], [0, 1]], 1)
+        assert kernel_basis([], ncols=2) == [(F(1), F(0)), (F(0), F(1))]
+        with pytest.raises(ValueError):
+            kernel_basis([])
+
+    def test_integer_rows_mixing_int_and_fraction(self):
+        rows = _integer_rows([[1, F(1, 2), F(-2, 3), 0], [3, F(4), -5, F(0)], [F(5, 6), 7, F(1, 4), 2]])
+        assert rows == [[6, 3, -4, 0], [3, 4, -5, 0], [10, 84, 3, 24]]
+        assert all(type(x) is int for row in rows for x in row)
+
+    def test_inverse_times_matrix_is_identity(self):
+        rng = random.Random(22)
+        tested = 0
+        while tested < 60:
+            n = rng.randint(1, 6)
+            m = [[random_entry(rng) for _ in range(n)] for _ in range(n)]
+            if det(m) == 0:
+                with pytest.raises(ValueError):
+                    mat_inverse(m)
+                continue
+            inv = mat_inverse(m)
+            identity = [[F(int(i == j)) for j in range(n)] for i in range(n)]
+            assert mat_mul(inv, m) == identity
+            assert mat_mul(m, inv) == identity
+            a, d = scaled_inverse(m)
+            assert inv == [[F(x, d) for x in row] for row in a]
+            tested += 1
+
+    def test_scaled_inverse_of_integer_matrix_is_adjugate(self):
+        m = [[2, 1, 0], [0, 1, 3], [1, 0, 1]]
+        a, d = scaled_inverse(m)
+        assert abs(d) == abs(det(m)) == 5
+        sign = 1 if d == det(m) else -1
+        assert [[sign * x for x in row] for row in a] == [[1, -1, 3], [3, 2, -6], [-1, 1, 2]]
+
+    def test_singular_and_non_square_inverse(self):
+        with pytest.raises(ValueError, match="singular"):
+            mat_inverse([[F(1), F(2)], [F(2), F(4)]])
+        with pytest.raises(ValueError, match="non-square"):
+            mat_inverse([[F(1), F(2)]])

@@ -10,6 +10,7 @@ from weylpairs.linalg import det
 from weylpairs.pairs import enumerate_pairs
 from weylpairs.poly import LAMBDA, SparsePolynomial, t_var, x_var
 from weylpairs.roots import subset_leq
+from weylpairs.serialize import counterexample_dict
 from weylpairs.varieties import (
     PreconditionError,
     additional_equation_holds,
@@ -29,7 +30,7 @@ from weylpairs.varieties import (
 )
 from weylpairs.weyl import Permutation
 
-from conftest import all_perms
+from conftest import all_perms, reference_kernel
 
 F = Fraction
 P = Permutation.from_string
@@ -376,6 +377,122 @@ class TestSampling:
                     assert lhs == rhs
 
 
+def _fraction_mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in bt] for row in a]
+
+
+def _fraction_det(m):
+    n = len(m)
+    rows = [[F(x) for x in row] for row in m]
+    sign, prev = 1, F(1)
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return F(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            for j in range(c, n):
+                rows[i][j] = (rows[i][j] * p - f * rows[c][j]) / prev
+        prev = p
+    return sign * rows[n - 1][n - 1]
+
+
+def _fraction_inverse(m):
+    n = len(m)
+    aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
+    for c in range(n):
+        piv = next(i for i in range(c, n) if aug[i][c] != 0)
+        aug[c], aug[piv] = aug[piv], aug[c]
+        p = aug[c][c]
+        aug[c] = [x / p for x in aug[c]]
+        for i in range(n):
+            if i != c and aug[i][c] != 0:
+                f = aug[i][c]
+                aug[i] = [x - f * y for x, y in zip(aug[i], aug[c])]
+    return [row[n:] for row in aug]
+
+
+def reference_sample(cell_w, diag_pairs, seed):
+    """The cell sampler computed with Fraction matrices throughout: the same
+    random draws, Pluecker values as determinants, constraint rows from
+    g^{-1}, and the kernel by Fraction elimination and back substitution."""
+    n = cell_w.n
+    rng = random.Random(seed)
+
+    def upper():
+        m = [[F(0)] * n for _ in range(n)]
+        for i in range(n):
+            while not m[i][i]:
+                m[i][i] = F(rng.randint(-9, 9))
+            for j in range(i + 1, n):
+                m[i][j] = F(rng.randint(-9, 9))
+        return m
+
+    b1, b2 = upper(), upper()
+    perm = [[F(1 if i + 1 == cell_w(j + 1) else 0) for j in range(n)] for i in range(n)]
+    g = _fraction_mat_mul(_fraction_mat_mul(b1, perm), b2)
+    plucker_values = {
+        rows: _fraction_det([[g[r - 1][c] for c in range(d)] for r in rows])
+        for d in range(1, n)
+        for rows in itertools.combinations(range(1, n + 1), d)
+    }
+    g_inv = _fraction_inverse(g)
+    unknowns = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
+    constraint_rows = [
+        [g_inv[p][k - 1] * g[l - 1][q] for (k, l) in unknowns]
+        for p in range(n)
+        for q in range(p)
+    ]
+    for p, q in diag_pairs:
+        constraint_rows.append(
+            [F(1) if kl == (p, p) else F(-1) if kl == (q, q) else F(0) for kl in unknowns]
+        )
+    basis, _ = reference_kernel(constraint_rows, len(unknowns))
+    combo = [F(rng.randint(-9, 9)) for _ in basis]
+    psi = [[F(0)] * n for _ in range(n)]
+    for idx, (k, l) in enumerate(unknowns):
+        psi[k - 1][l - 1] = sum((c * vec[idx] for c, vec in zip(combo, basis)), F(0))
+    return plucker_values, tuple(tuple(row) for row in psi)
+
+
+def typed(sample):
+    """A sample with the type of every number spelled out."""
+    plucker_values, psi = sample
+    return (
+        [(rows, type(v), v) for rows, v in plucker_values.items()],
+        [[(type(v), v) for v in row] for row in psi],
+    )
+
+
+class TestSamplerAgainstFractionReference:
+    """The integer sampler returns the Fraction reference's values and types."""
+
+    def test_every_s4_cell(self):
+        for w in all_perms(4):
+            for seed in (0, 42):
+                assert typed(sample_point_on_Vw(w, seed)) == typed(reference_sample(w, (), seed))
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_seeded_cells(self, n):
+        rng = random.Random(n)
+        cells = rng.sample(all_perms(n), 15)
+        for w in cells:
+            for _ in range(3):
+                seed = rng.randrange(10**6)
+                assert typed(sample_point_on_Vw(w, seed)) == typed(reference_sample(w, (), seed))
+
+    def test_fiber_pairs(self):
+        for w, wp in ((P("4231"), P("1324")), (P("4321"), P("2143"))):
+            for seed in range(100, 104):
+                got = sample_point_on_fiber(w, wp, seed)
+                assert typed(got) == typed(reference_sample(wp, fiber_equations(w, wp), seed))
+
+
 class TestScan:
     def test_flagship_pair(self):
         rep = additional_equation_scan(P("4231"), P("1324"))
@@ -383,7 +500,8 @@ class TestScan:
         as_tuples = [(h.q, h.a, h.b, h.variant) for h in rep.hits]
         assert (1, 1, 2, "main") in as_tuples
         assert (1, 3, 4, "remark") in as_tuples
-        assert rep.hits == rep.orbit_separated_hits
+        record = counterexample_dict(rep)
+        assert record["orbit_separated_hits"] == record["hits"]
         assert rep.witness is not None and rep.witness.ok
         assert rep.witness.point.diagonal == (F(0), F(1), F(1), F(0))
 
