@@ -25,6 +25,7 @@ from .pairs import (
     enumerate_block,
     enumerate_pairs,
     is_good_orbitwise,
+    lex_tuples,
     orbitwise_verdict,
 )
 from .patterns import left_bad_exists, right_bad_exists, verify_pattern_theorem
@@ -40,6 +41,7 @@ from .serialize import (
 from .varieties import (
     DEFAULT_SEED,
     additional_equation_scan,
+    check_equation_n,
     check_point_families,
     p_polynomials,
     point_assignment,
@@ -148,8 +150,16 @@ def cmd_pair_classify(args) -> int:
     return 0
 
 
-def _block_task(task):
-    return enumerate_block(*task)
+def _block_task(task) -> tuple[str, int, int]:
+    """Worker: one block's JSON lines, serialised here so that the parent
+    only writes them, plus the block's comparable and bad counts."""
+    rows, ncomp, nbad = enumerate_block(*task)
+    perms = {t: Permutation(t) for t in lex_tuples(task[0])}
+    text = "".join(
+        _dumps(verdict_dict(orbitwise_verdict(perms[t1], perms[t2], violation))) + "\n"
+        for t1, t2, violation in rows
+    )
+    return text, ncomp, nbad
 
 
 def cmd_pairs_enumerate(args) -> int:
@@ -192,12 +202,10 @@ def _enumerate_parallel(args, out) -> EnumerationSummary:
         tasks = [(args.n, lo, hi, args.filter) for lo, hi in bounds]
         # imap preserves task order, so output stays deterministic while
         # blocks stream out as they finish
-        for bidx, (rows, ncomp, nbad) in enumerate(pool.imap(_block_task, tasks)):
+        for bidx, (text, ncomp, nbad) in enumerate(pool.imap(_block_task, tasks)):
             summary.total_comparable += ncomp
             summary.bad_count += nbad
-            for t1, t2, violation in rows:
-                verdict = orbitwise_verdict(Permutation(t1), Permutation(t2), violation)
-                _emit(verdict_dict(verdict), out)
+            out.write(text)
             print(f"block {bidx + 1}/{nblocks} done", file=sys.stderr)
     return summary
 
@@ -241,6 +249,7 @@ def cmd_equations_emit(args) -> int:
 
 
 def cmd_counterexample_scan(args) -> int:
+    check_equation_n(args.n)
     _require_together(args, "w", "wprime")
     pair = _bad_pair(args) if args.w is not None else None
     out = _open_out(args.out)
@@ -250,7 +259,7 @@ def cmd_counterexample_scan(args) -> int:
             _emit(counterexample_dict(additional_equation_scan(w, wp)), out)
             return 0
         count = 0
-        for v in enumerate_pairs(args.n, "bad", allow_large=args.allow_large):
+        for v in enumerate_pairs(args.n, "bad"):
             rep = additional_equation_scan(v.w2, v.w1)
             _emit(counterexample_dict(rep), out)
             count += 1
@@ -376,7 +385,6 @@ def build_parser() -> argparse.ArgumentParser:
     scan.add_argument("--w", default=None, help="scan a single pair: the larger element")
     scan.add_argument("--wprime", default=None, help="the smaller element")
     scan.add_argument("--out", default=None)
-    scan.add_argument("--allow-large", action="store_true")
     scan.set_defaults(func=cmd_counterexample_scan)
 
     witness = top.add_parser("witness", help="witness point verification")

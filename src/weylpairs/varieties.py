@@ -16,6 +16,14 @@ w w'^{-1}, an explicit rational point separates the closure from the naive
 fiber and refutes the conjectural description of their intersection.  The
 scanner enumerates the (q, a, b) configurations, and the verifier checks the
 witness point against every equation family with exact arithmetic.
+
+The lambda^s coefficient of P_{w,i} is P_{w,i,s} = C_{i,s} - e_{d-s}(t_{w(1..d)}) x_i,
+where C_{i,s} is the lambda^s coefficient of the colinearity sum and e the
+elementary symmetric polynomial.  Both factors are independent of w and
+cached, so a point is checked against the P-family without building any
+P_{w,i,s}: it must satisfy C_{i,s}(pt) = e_{d-s}(pt) x_i(pt), with each e
+evaluated once per d.  The polynomials themselves are built only on request
+(``EquationSet.p_equations``).
 """
 
 from __future__ import annotations
@@ -24,7 +32,8 @@ import itertools
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import lcm
 from typing import Optional
 
 from .linalg import integer_kernel, scaled_inverse
@@ -56,7 +65,8 @@ class PreconditionError(ValueError):
     """Lemma hypotheses violated by the caller."""
 
 
-def _check_n(n: int) -> None:
+def check_equation_n(n: int) -> None:
+    """Reject an n outside the range equation generation supports."""
     if not 2 <= n <= MAX_EQUATION_N:
         raise ValueError(f"equation generation supports 2 <= n <= {MAX_EQUATION_N}")
 
@@ -113,7 +123,7 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
 def plucker_relations(n: int, d: int) -> tuple[SparsePolynomial, ...]:
     """Quadratic relations cutting the d-plane Grassmannian out of projective
     space."""
-    _check_n(n)
+    check_equation_n(n)
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}")
     return _exchange_relations(n, d, d)
@@ -122,7 +132,7 @@ def plucker_relations(n: int, d: int) -> tuple[SparsePolynomial, ...]:
 @lru_cache(maxsize=None)
 def incidence_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial, ...]:
     """Relations expressing that a d-plane is contained in a d'-plane."""
-    _check_n(n)
+    check_equation_n(n)
     if not 1 <= d < d_prime <= n - 1:
         raise ValueError(f"need 1 <= d < d' <= n-1, got ({d}, {d_prime})")
     return _exchange_relations(n, d, d_prime)
@@ -140,7 +150,7 @@ class CellDescription:
 
 def cell_equations(w: Permutation) -> CellDescription:
     n = w.n
-    _check_n(n)
+    check_equation_n(n)
     nonvan = []
     vanishing = []
     for d in range(1, n):
@@ -175,8 +185,30 @@ def _colinearity_sum(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
 
 @lru_cache(maxsize=None)
 def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """The lambda-coefficients of ``_colinearity_sum(n, indices)``."""
-    return tuple(_colinearity_sum(n, indices).lambda_coefficients())
+    """The lambda-coefficients C_{I,0}, ..., C_{I,d} of
+    ``_colinearity_sum(n, I)``, with d = |I|, checked once for all w:
+
+    * C_{I,d} is exactly x_I and nothing is higher, so lambda^d cancels
+      against the diagonal product and P_{w,I,s} exists for s < d only;
+    * every monomial of C_{I,s} has degree d - s in (u, t), like
+      e_{d-s}(t), so P_{w,I,s} is homogeneous of that degree.
+    """
+    d = len(indices)
+    coeffs = tuple(_colinearity_sum(n, indices).lambda_coefficients())
+    if len(coeffs) != d + 1 or coeffs[d] != SparsePolynomial.variable(x_var(indices)):
+        raise VerificationFailedError(
+            f"the colinearity sum of {indices} (n = {n}) has lambda degree "
+            f"{len(coeffs) - 1}, or a lambda^{d} coefficient other than x_I"
+        )
+    for s, coeff in enumerate(coeffs[:d]):
+        for mono, _ in coeff.sorted_terms():
+            degree = sum(e for (kind, _), e in mono if kind in ("u", "t"))
+            if degree != d - s:
+                raise VerificationFailedError(
+                    f"the lambda^{s} coefficient of the colinearity sum of {indices} "
+                    f"(n = {n}) has a monomial of (u, t)-degree {degree} != {d - s}"
+                )
+    return coeffs
 
 
 @lru_cache(maxsize=None)
@@ -215,40 +247,41 @@ class EquationSet:
     plucker: tuple[SparsePolynomial, ...]
     incidence: tuple[SparsePolynomial, ...]
     cell: CellDescription
-    p_equations: dict  # (d, index tuple, s) -> lambda-free SparsePolynomial
+
+    @cached_property
+    def p_equations(self) -> dict:
+        """(d, index tuple, s) -> the lambda-free P_{w,indices,s}, for every
+        1 <= d <= n-1 and 0 <= s <= d-1, built on first access.
+
+        P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, where
+        C_{I,s} is the lambda^s coefficient of the colinearity sum.
+        """
+        n, w = self.n, self.w
+        p_eqs = {}
+        for d in range(1, n):
+            diagonal = _subset_product_coefficients(_prefix_set(w, d))
+            for indices in itertools.combinations(range(1, n + 1), d):
+                colinear = _colinearity_coefficients(n, indices)
+                x = SparsePolynomial.variable(x_var(indices))
+                for s in range(d):
+                    p_eqs[(d, indices, s)] = colinear[s] - diagonal[s] * x
+        return p_eqs
 
 
 def p_polynomials(w: Permutation) -> EquationSet:
-    """Bundle Pluecker + incidence (d, d+1) + cell data + every lambda
-    coefficient P_{w,indices,s}, 0 <= s <= d-1.
-
-    P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, where C_{I,s}
-    is the lambda^s coefficient of the colinearity sum; both factors are
-    cached, so only the products with x_I and the differences depend on w.
+    """Bundle Pluecker + incidence (d, d+1) + cell data of w; the lambda
+    coefficients P_{w,indices,s} are built only when ``p_equations`` is read,
+    since ``check_point_families`` checks them through their cached factors.
     """
     n = w.n
-    _check_n(n)
-    p_eqs = {}
-    for d in range(1, n):
-        diagonal = _subset_product_coefficients(_prefix_set(w, d))
-        for indices in itertools.combinations(range(1, n + 1), d):
-            colinear = _colinearity_coefficients(n, indices)
-            x = SparsePolynomial.variable(x_var(indices))
-            # lambda^d cancels against the diagonal product, and nothing is higher
-            if len(colinear) != d + 1 or colinear[d] != x:
-                raise VerificationFailedError(
-                    f"P_{w.to_string()},{indices} has lambda degree "
-                    f"{max(len(colinear) - 1, d)} >= {d}"
-                )
-            for s in range(d):
-                p_eqs[(d, indices, s)] = colinear[s] - diagonal[s] * x
+    check_equation_n(n)
     plucker = tuple(
         rel for d in range(1, n) for rel in plucker_relations(n, d)
     )
     incidence = tuple(
         rel for d in range(1, n - 1) for rel in incidence_relations(n, d, d + 1)
     )
-    return EquationSet(n, w, plucker, incidence, cell_equations(w), p_eqs)
+    return EquationSet(n, w, plucker, incidence, cell_equations(w))
 
 
 def fiber_equations(w: Permutation, w_prime: Permutation) -> tuple[tuple[int, int], ...]:
@@ -398,6 +431,46 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     return point
 
 
+def _integral_psi(point: dict) -> dict:
+    """The point with its psi coordinates u and t multiplied by the lcm L of
+    their denominators, so that they are ``int``.
+
+    Each P_{w,I,s} is homogeneous of degree d - s in (u, t), so
+    P(x, Lu, Lt) = L^(d-s) P(x, u, t): the scaled point satisfies exactly
+    the same P-equations, and they evaluate without ``Fraction`` arithmetic.
+    """
+    scale = 1
+    for (kind, _), value in point.items():
+        if kind in ("u", "t") and type(value) is not int:
+            scale = lcm(scale, value.denominator)
+    if scale == 1:
+        return point
+    return {
+        v: exact_number(value * scale) if v[0] in ("u", "t") else value
+        for v, value in point.items()
+    }
+
+
+def _p_family_holds(eqs: EquationSet, point: dict) -> bool:
+    """Whether every P_{w,I,s} vanishes at the point, tested as
+    C_{I,s}(pt) == e_{d-s}(t_{w(1..d)})(pt) * x_I(pt) from the cached
+    w-independent factors."""
+    n = eqs.n
+    point = _integral_psi(point)
+    for d in range(1, n):
+        diagonal = [
+            exact_number(e.evaluate(point))
+            for e in _subset_product_coefficients(_prefix_set(eqs.w, d))[:d]
+        ]
+        for indices in itertools.combinations(range(1, n + 1), d):
+            colinear = _colinearity_coefficients(n, indices)
+            x = point[x_var(indices)]
+            for s in range(d):
+                if colinear[s].evaluate(point) != diagonal[s] * x:
+                    return False
+    return True
+
+
 def check_point_families(eqs: EquationSet, point: dict) -> dict[str, bool]:
     """Evaluate every equation family of a cell at a point, exactly."""
     cell_ok = True
@@ -411,7 +484,7 @@ def check_point_families(eqs: EquationSet, point: dict) -> dict[str, bool]:
         "plucker": all(rel.evaluate(point) == 0 for rel in eqs.plucker),
         "incidence": all(rel.evaluate(point) == 0 for rel in eqs.incidence),
         "cell": cell_ok,
-        "p_equations": all(p.evaluate(point) == 0 for p in eqs.p_equations.values()),
+        "p_equations": _p_family_holds(eqs, point),
     }
 
 
@@ -484,7 +557,7 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
     already carries, so they are not counted as hits.
     """
     n = w.n
-    _check_n(n)
+    check_equation_n(n)
     sigma = w * w_prime.inverse()
     orbit_of = {}
     for orbit in sigma.orbits():
@@ -567,7 +640,7 @@ def verify_witness(
     failure is a bug.  Check 5 may legitimately fail for a custom diagonal.
     """
     n = w.n
-    _check_n(n)
+    check_equation_n(n)
     _check_ab(n, a, b)
     if diagonal is None:
         t = witness_diagonal(w, w_prime, a, b)

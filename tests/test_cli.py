@@ -1,5 +1,6 @@
 """End-to-end command line behaviour: JSON shapes, determinism, exit codes."""
 
+import hashlib
 import io
 import json
 import os
@@ -190,6 +191,13 @@ class TestCounterexample:
         validate(record, "counterexample_report")
         assert record["status"] == "unknown" and record["hits"] == []
 
+    def test_n7_names_the_equation_range(self, capsys):
+        # the scan stops before enumerating S7, with the range it supports
+        assert dispatch(["counterexample", "scan", "--n", "7"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: equation generation supports 2 <= n <= 6\n"
+
 
 class TestWitness:
     def test_explicit_pair(self):
@@ -239,6 +247,28 @@ class TestDeterminism:
         assert first == second
 
 
+class TestPinnedDigests:
+    """Pinned stdout digests: a change to the library keeps these bytes, or
+    changes the interface version with them."""
+
+    @pytest.mark.parametrize(
+        "argv, digest",
+        [
+            (["counterexample", "scan", "--n", "5"],
+             "797fe9f4d1b09fdd8a17879e0ee98c9681d100d9454e3ee00c58820b071dc1dd"),
+            (["equations", "emit", "--n", "6", "--w", "653421"],
+             "7805d61805748e8fdc5c2c02c79881cb00e9350ba159f829216b0180b1000cf1"),
+            (["equations", "emit", "--n", "6", "--w", "653421", "--format", "text"],
+             "d80baaa597de03f2dfc5faba0220705eb984bea723416d2c74ca35e08decbc67"),
+        ],
+        ids=["scan-n5", "emit-n6-json", "emit-n6-text"],
+    )
+    def test_stdout_sha256(self, argv, digest):
+        code, out = run(argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 class TestInputContract:
     """Inputs the CLI cannot answer exit 2 with a message and print nothing."""
 
@@ -266,13 +296,15 @@ class TestInputContract:
              "--a", "0", "--b", "2"],
             ["pairs", "enumerate", "--n", "3", "--jobs", "0"],
             ["pairs", "enumerate", "--n", "3", "--jobs", "-5"],
+            ["counterexample", "scan", "--n", "7", "--w", "1324576",
+             "--wprime", "1234567"],
         ],
         ids=[
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
             "witness-b-alone", "samples-0", "samples-negative",
             "scan-incomparable", "scan-reversed", "scan-good", "witness-incomparable",
             "witness-reversed", "witness-good-explicit-ab", "witness-b-above-n",
-            "witness-a-zero", "jobs-0", "jobs-negative",
+            "witness-a-zero", "jobs-0", "jobs-negative", "scan-n7-pair",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):
@@ -292,6 +324,12 @@ class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as exc:
             dispatch(["pair", "classify", "--nope", "3"])
+        assert exc.value.code == 2
+
+    def test_scan_has_no_allow_large(self):
+        # equation generation stops at n = 6, so no flag can unlock n = 7
+        with pytest.raises(SystemExit) as exc:
+            dispatch(["counterexample", "scan", "--n", "7", "--allow-large"])
         assert exc.value.code == 2
 
     def test_bad_permutation_string(self):

@@ -6,9 +6,10 @@ from fractions import Fraction
 
 import pytest
 
+from weylpairs import varieties
 from weylpairs.linalg import det
 from weylpairs.pairs import enumerate_pairs
-from weylpairs.poly import LAMBDA, SparsePolynomial, t_var, x_var
+from weylpairs.poly import LAMBDA, IncompletePointError, SparsePolynomial, t_var, x_var
 from weylpairs.roots import subset_leq
 from weylpairs.serialize import counterexample_dict
 from weylpairs.varieties import (
@@ -280,6 +281,152 @@ class TestPPolynomialsFastPath:
             assert type(value) in (int, F)
             assert (type(value) is int) == (F(value).denominator == 1)
         assert all(type(point[x_var(tup)]) is int for tup in plucker_values)
+
+
+def _materialised_p_check(eqs, point):
+    """Reference: evaluate every built P_{w,I,s} at the point."""
+    return all(p.evaluate(point) == 0 for p in eqs.p_equations.values())
+
+
+def _factored_p_check(eqs, point):
+    return check_point_families(eqs, point)["p_equations"]
+
+
+def _scaled_psi(point, factor):
+    """The point with every u and t coordinate multiplied by ``factor``."""
+    return {v: val * factor if v[0] in ("u", "t") else val for v, val in point.items()}
+
+
+def _seeded_bad_pairs(n, count, seed):
+    pairs = [(v.w2, v.w1) for v in enumerate_pairs(n, "bad")]
+    return random.Random(seed).sample(pairs, count)
+
+
+class TestFactoredPCheck:
+    """check_point_families tests the P-family as C_{I,s}(pt) = e_{d-s}(pt) x_I(pt)
+    from cached w-independent factors; it must agree with evaluating the
+    materialised p_equations, on members and non-members alike."""
+
+    S5_CELLS = ("12345", "54321", "42513", "35142", "21543", "31452")
+    S6_CELLS = ("123456", "653421", "351624", "426153", "214365", "246135")
+
+    @staticmethod
+    def sample(w, seed):
+        return point_assignment(w.n, *sample_point_on_Vw(w, seed))
+
+    def test_every_s4_cell(self):
+        for w in all_perms(4):
+            eqs = p_polynomials(w)
+            for seed in (1, 2):
+                point = self.sample(w, seed)
+                assert _factored_p_check(eqs, point) is True
+                assert _materialised_p_check(eqs, point) is True
+
+    @pytest.mark.parametrize("cells", [S5_CELLS, S6_CELLS], ids=["S5", "S6"])
+    def test_seeded_cells_and_other_cells(self, cells):
+        elements = [P(c) for c in cells]
+        for w, other in zip(elements, elements[1:] + elements[:1]):
+            eqs, eqs_other = p_polynomials(w), p_polynomials(other)
+            for seed in (3, 4):
+                point = self.sample(w, seed)
+                assert _factored_p_check(eqs, point) is True
+                assert _materialised_p_check(eqs, point) is True
+                # the point of w is not on the cell of another w
+                assert _factored_p_check(eqs_other, point) is False
+                assert _materialised_p_check(eqs_other, point) is False
+
+    @pytest.mark.parametrize("n, count", [(5, 12), (6, 8)], ids=["S5", "S6"])
+    def test_seeded_witnesses(self, n, count):
+        for w, wp in _seeded_bad_pairs(n, count, seed=n):
+            report = additional_equation_scan(w, wp)
+            if report.witness is None:
+                continue
+            point = point_assignment(n, report.witness.point.plucker_values, report.witness.point.psi)
+            eqs = p_polynomials(wp)
+            assert _factored_p_check(eqs, point) is True
+            assert _materialised_p_check(eqs, point) is True
+            # a witness of w' is generally not on the cell of w
+            eqs_w = p_polynomials(w)
+            assert _factored_p_check(eqs_w, point) == _materialised_p_check(eqs_w, point)
+
+    @pytest.mark.parametrize("cell", ["4231", "42513", "351624"])
+    def test_one_t_changed(self, cell):
+        w = P(cell)
+        eqs = p_polynomials(w)
+        for seed in (5, 6):
+            point = self.sample(w, seed)
+            for k in (1, w.n):
+                moved = dict(point)
+                moved[t_var(k)] = point[t_var(k)] + F(1, 7)
+                assert _factored_p_check(eqs, moved) is False
+                assert _materialised_p_check(eqs, moved) is False
+
+    @pytest.mark.parametrize("cell", ["4231", "35142", "351624"])
+    def test_neighbour_cell_fails_in_dimension_one_only(self, cell):
+        # w and w s_1 share every prefix set but the first, so at a diagonal
+        # point with one nonzero x per d only P_{w,{w's_1(1)},0} fails
+        w = P(cell)
+        neighbour = w * Permutation.transposition(w.n, 1, 2)
+        plucker_values = {
+            tuple(sorted(neighbour(k) for k in range(1, d + 1))): 1 for d in range(1, w.n)
+        }
+        psi = tuple(tuple(F(i + 1) if i == j else F(0) for j in range(w.n)) for i in range(w.n))
+        point = point_assignment(w.n, plucker_values, psi)
+        assert _factored_p_check(p_polynomials(neighbour), point) is True
+        assert _materialised_p_check(p_polynomials(neighbour), point) is True
+        eqs = p_polynomials(w)
+        failing = [key for key, p in eqs.p_equations.items() if p.evaluate(point) != 0]
+        assert failing == [(1, (neighbour(1),), 0)]
+        assert _factored_p_check(eqs, point) is False
+
+    @pytest.mark.parametrize("cell", ["3142", "42513", "426153"])
+    def test_u_and_t_with_different_denominators(self, cell):
+        w = P(cell)
+        eqs = p_polynomials(w)
+        for seed in (7, 8):
+            # scaling (u, t) keeps a member a member: P is homogeneous in them
+            point = _scaled_psi(self.sample(w, seed), F(1, 6))
+            dens = {F(val).denominator for v, val in point.items() if v[0] in ("u", "t")}
+            assert len(dens - {1}) >= 2
+            assert _factored_p_check(eqs, point) is True
+            assert _materialised_p_check(eqs, point) is True
+            moved = dict(point)
+            moved[t_var(2)] = point[t_var(2)] + F(1, 5)
+            assert _factored_p_check(eqs, moved) is False
+            assert _materialised_p_check(eqs, moved) is False
+
+    def test_missing_variable_raises(self):
+        w = P("42513")
+        eqs = p_polynomials(w)
+        point = self.sample(w, 9)
+        for v in point:
+            partial = {k: val for k, val in point.items() if k != v}
+            expected = KeyError if v[0] == "x" else IncompletePointError
+            with pytest.raises(expected):
+                check_point_families(eqs, partial)
+
+    @pytest.mark.parametrize("doctor", ["extra-lambda", "scaled-top", "inhomogeneous"])
+    def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
+        n, indices = 4, (1, 3)
+        x = SparsePolynomial.variable(x_var(indices))
+        lam = SparsePolynomial.variable(LAMBDA)
+        extra = {
+            "extra-lambda": x * lam**3,
+            "scaled-top": x * lam**2,
+            # (u, t)-degree 1 in the lambda^0 coefficient, which needs d - 0 = 2
+            "inhomogeneous": SparsePolynomial.variable(x_var((2, 3))) * SparsePolynomial.variable(t_var(1)),
+        }[doctor]
+        doctored = varieties._colinearity_sum(n, indices) + extra
+        monkeypatch.setattr(varieties, "_colinearity_sum", lambda n_, idx: doctored)
+        with pytest.raises(varieties.VerificationFailedError):
+            varieties._colinearity_coefficients.__wrapped__(n, indices)
+
+    def test_undoctored_coefficients_pass_the_check(self):
+        for n in (4, 5, 6):
+            for d in range(1, n):
+                for indices in itertools.combinations(range(1, n + 1), d):
+                    coeffs = varieties._colinearity_coefficients.__wrapped__(n, indices)
+                    assert coeffs == varieties._colinearity_coefficients(n, indices)
 
 
 def _coefficient_of_x(poly, indices):
