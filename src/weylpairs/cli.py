@@ -21,7 +21,6 @@ from .mingen import min_gen_subsystem, min_gen_type_A_orbits
 from .pairs import (
     CRITERIA,
     EnumerationSummary,
-    check_enumeration,
     enumerate_block,
     enumerate_pairs,
     is_good_orbitwise,
@@ -41,14 +40,13 @@ from .serialize import (
 from .varieties import (
     DEFAULT_SEED,
     additional_equation_scan,
-    check_equation_n,
     check_point_families,
     p_polynomials,
     point_assignment,
     sample_point_on_Vw,
     verify_witness,
 )
-from .weyl import Permutation, symmetric_group
+from .weyl import Permutation, check_size, symmetric_group
 
 INTERFACE_VERSION = "1.0"
 
@@ -98,9 +96,12 @@ def _default_jobs() -> int:
 
 
 def _open_out(path):
-    if path:
+    if not path:
+        return sys.stdout
+    try:
         return open(path, "w")
-    return sys.stdout
+    except OSError as exc:
+        raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +166,7 @@ def _block_task(task) -> tuple[str, int, int]:
 def cmd_pairs_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
-    check_enumeration(args.n, args.filter, args.allow_large)
+    check_size("enumeration", args.n, args.allow_large)
     out = _open_out(args.out)
     try:
         if args.jobs > 1:
@@ -249,7 +250,7 @@ def cmd_equations_emit(args) -> int:
 
 
 def cmd_counterexample_scan(args) -> int:
-    check_equation_n(args.n)
+    check_size("equation generation", args.n)
     _require_together(args, "w", "wprime")
     pair = _bad_pair(args) if args.w is not None else None
     out = _open_out(args.out)
@@ -272,6 +273,7 @@ def cmd_counterexample_scan(args) -> int:
 
 
 def cmd_witness_verify(args) -> int:
+    check_size("equation generation", args.n)
     _require_together(args, "a", "b")
     w, wp = _bad_pair(args)
     if args.a is not None:

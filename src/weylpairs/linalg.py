@@ -29,18 +29,6 @@ def vector(coords) -> Vector:
     return tuple(Fraction(c) for c in coords)
 
 
-def vec_add(x: Vector, y: Vector) -> Vector:
-    return tuple(a + b for a, b in zip(x, y, strict=True))
-
-
-def vec_sub(x: Vector, y: Vector) -> Vector:
-    return tuple(a - b for a, b in zip(x, y, strict=True))
-
-
-def vec_scale(c: Fraction, x: Vector) -> Vector:
-    return tuple(c * a for a in x)
-
-
 def dot(x: Vector, y: Vector) -> Fraction:
     if len(x) != len(y):
         raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")

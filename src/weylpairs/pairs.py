@@ -19,7 +19,6 @@ The four agree everywhere; the test suite checks this exhaustively.
 from __future__ import annotations
 
 import itertools
-import math
 from bisect import insort
 from dataclasses import dataclass
 from typing import Iterator, Optional
@@ -28,12 +27,10 @@ from .weyl import (
     InternalInvariantError,
     Permutation,
     _sorted_prefixes,
+    check_size,
     standardize_subsystem,
     symmetric_group,
 )
-
-# n = 7 pair enumeration is ~25.4M classifications; demand explicit opt-in.
-LARGE_ENUMERATION_N = 7
 
 
 @dataclass
@@ -328,21 +325,6 @@ class EnumerationSummary:
     bad_count: int = 0
 
 
-def check_enumeration(n: int, verdict_filter: str = "all", allow_large: bool = False) -> None:
-    """Reject an exhaustive sweep outside 2 <= n <= LARGE_ENUMERATION_N, an
-    n = LARGE_ENUMERATION_N sweep without ``allow_large``, or an unknown
-    filter."""
-    if not 2 <= n <= LARGE_ENUMERATION_N:
-        raise ValueError(f"enumeration supports 2 <= n <= {LARGE_ENUMERATION_N}")
-    if n >= LARGE_ENUMERATION_N and not allow_large:
-        raise ValueError(
-            f"n = {n} enumerates {math.factorial(n) ** 2} ordered pairs; "
-            "pass allow_large=True (CLI: --allow-large) to proceed"
-        )
-    if verdict_filter not in ("good", "bad", "all"):
-        raise ValueError(f"unknown filter {verdict_filter!r}")
-
-
 def lex_tuples(n: int) -> list[tuple[int, ...]]:
     """The one-line tuples of S_n in lexicographic order."""
     return sorted(itertools.permutations(range(1, n + 1)))
@@ -367,10 +349,14 @@ def classify_block(n: int, lo: int, hi: int, summary: EnumerationSummary):
             yield t1, tuples[j], violation
 
 
-def _kept(verdict_filter: str, violation) -> bool:
+def _filtered(rows, verdict_filter: str):
+    """The rows (t1, t2, violation) that ``verdict_filter`` keeps."""
+    if verdict_filter not in ("good", "bad", "all"):
+        raise ValueError(f"unknown filter {verdict_filter!r}")
     if verdict_filter == "all":
-        return True
-    return (violation is None) == (verdict_filter == "good")
+        return rows
+    good = verdict_filter == "good"
+    return (row for row in rows if (row[2] is None) == good)
 
 
 def enumerate_pairs(
@@ -384,13 +370,13 @@ def enumerate_pairs(
 
     If a ``summary`` is supplied its counters are updated while streaming.
     """
-    check_enumeration(n, verdict_filter, allow_large)
+    check_size("enumeration", n, allow_large)
     if summary is None:
         summary = EnumerationSummary(n)
     perms = {t: Permutation(t) for t in lex_tuples(n)}
-    for t1, t2, violation in classify_block(n, 0, len(perms), summary):
-        if _kept(verdict_filter, violation):
-            yield orbitwise_verdict(perms[t1], perms[t2], violation)
+    rows = _filtered(classify_block(n, 0, len(perms), summary), verdict_filter)
+    for t1, t2, violation in rows:
+        yield orbitwise_verdict(perms[t1], perms[t2], violation)
 
 
 def enumerate_block(n: int, lo: int, hi: int, verdict_filter: str) -> tuple[list, int, int]:
@@ -398,10 +384,10 @@ def enumerate_block(n: int, lo: int, hi: int, verdict_filter: str) -> tuple[list
     rows (t1, t2, violation) plus the block's comparable and bad counts.
 
     Worker unit for parallel enumeration: deterministic output independent of
-    scheduling, merged in block order by the caller.
+    scheduling, merged in block order by the caller, which takes the opt-in
+    for a large n; this checks only the hard range and the filter.
     """
+    check_size("enumeration", n, allow_large=True)
     summary = EnumerationSummary(n)
-    rows = [
-        row for row in classify_block(n, lo, hi, summary) if _kept(verdict_filter, row[2])
-    ]
+    rows = list(_filtered(classify_block(n, lo, hi, summary), verdict_filter))
     return rows, summary.total_comparable, summary.bad_count

@@ -14,13 +14,12 @@ from typing import Optional
 
 from .pairs import (
     EnumerationSummary,
-    check_enumeration,
     classify_block,
     flatten_tuple,
     is_good_orbitwise,
     lex_tuples,
 )
-from .weyl import InternalInvariantError, Permutation
+from .weyl import InternalInvariantError, Permutation, check_size
 
 # pattern -> the smaller element of a model bad pair (pattern is the larger)
 LEFT_PATTERNS: dict[tuple[int, ...], tuple[int, ...]] = {
@@ -150,7 +149,7 @@ def bad_partner_sides(n: int, allow_large: bool = False) -> dict[str, set]:
     """The one-line tuples with a bad partner on each side, from one pass of
     the pair classifier: "left" holds every w2 and "right" every w1 of a bad
     pair (w1, w2)."""
-    check_enumeration(n, allow_large=allow_large)
+    check_size("enumeration", n, allow_large)
     tuples = lex_tuples(n)
     sides: dict[str, set] = {"left": set(), "right": set()}
     for t1, t2, violation in classify_block(n, 0, len(tuples), EnumerationSummary(n)):

@@ -48,10 +48,7 @@ from .poly import (
     x_var,
 )
 from .roots import subset_leq
-from .weyl import Permutation
-
-# equation generation is capped: C(n,d) coordinate counts explode beyond this
-MAX_EQUATION_N = 6
+from .weyl import Permutation, check_size
 
 DEFAULT_SEED = 42
 COEFF_RANGE = 9  # random integer coordinates are drawn from [-9, 9]
@@ -63,12 +60,6 @@ class VerificationFailedError(RuntimeError):
 
 class PreconditionError(ValueError):
     """Lemma hypotheses violated by the caller."""
-
-
-def check_equation_n(n: int) -> None:
-    """Reject an n outside the range equation generation supports."""
-    if not 2 <= n <= MAX_EQUATION_N:
-        raise ValueError(f"equation generation supports 2 <= n <= {MAX_EQUATION_N}")
 
 
 def _signed_x(indices) -> SparsePolynomial:
@@ -123,7 +114,7 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
 def plucker_relations(n: int, d: int) -> tuple[SparsePolynomial, ...]:
     """Quadratic relations cutting the d-plane Grassmannian out of projective
     space."""
-    check_equation_n(n)
+    check_size("equation generation", n)
     if not 1 <= d <= n - 1:
         raise ValueError(f"need 1 <= d <= n-1, got d={d}")
     return _exchange_relations(n, d, d)
@@ -132,7 +123,7 @@ def plucker_relations(n: int, d: int) -> tuple[SparsePolynomial, ...]:
 @lru_cache(maxsize=None)
 def incidence_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial, ...]:
     """Relations expressing that a d-plane is contained in a d'-plane."""
-    check_equation_n(n)
+    check_size("equation generation", n)
     if not 1 <= d < d_prime <= n - 1:
         raise ValueError(f"need 1 <= d < d' <= n-1, got ({d}, {d_prime})")
     return _exchange_relations(n, d, d_prime)
@@ -150,7 +141,7 @@ class CellDescription:
 
 def cell_equations(w: Permutation) -> CellDescription:
     n = w.n
-    check_equation_n(n)
+    check_size("equation generation", n)
     nonvan = []
     vanishing = []
     for d in range(1, n):
@@ -274,7 +265,7 @@ def p_polynomials(w: Permutation) -> EquationSet:
     since ``check_point_families`` checks them through their cached factors.
     """
     n = w.n
-    check_equation_n(n)
+    check_size("equation generation", n)
     plucker = tuple(
         rel for d in range(1, n) for rel in plucker_relations(n, d)
     )
@@ -557,7 +548,7 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
     already carries, so they are not counted as hits.
     """
     n = w.n
-    check_equation_n(n)
+    check_size("equation generation", n)
     sigma = w * w_prime.inverse()
     orbit_of = {}
     for orbit in sigma.orbits():
@@ -640,7 +631,7 @@ def verify_witness(
     failure is a bug.  Check 5 may legitimately fail for a custom diagonal.
     """
     n = w.n
-    check_equation_n(n)
+    check_size("equation generation", n)
     _check_ab(n, a, b)
     if diagonal is None:
         t = witness_diagonal(w, w_prime, a, b)

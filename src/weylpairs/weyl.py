@@ -23,6 +23,7 @@ that :func:`standardize_subsystem` needs.
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 from functools import lru_cache
 
@@ -32,6 +33,27 @@ from .roots import RootSystem, build_named, build_type_A
 
 class InternalInvariantError(RuntimeError):
     """A structural guarantee failed; indicates a bug, not a math outcome."""
+
+
+# For each family of n-bounded operations: the largest n it supports, and the
+# n from which it runs only with allow_large (CLI --allow-large), or None.
+SIZE_LIMITS = {
+    "enumeration": (7, 7),
+    "equation generation": (6, None),
+}
+
+
+def check_size(family: str, n: int, allow_large: bool = False) -> None:
+    """Reject an n outside 2 <= n <= the family's maximum, or an n at or past
+    its opt-in threshold without ``allow_large``."""
+    maximum, large = SIZE_LIMITS[family]
+    if not 2 <= n <= maximum:
+        raise ValueError(f"{family} supports 2 <= n <= {maximum}")
+    if large is not None and n >= large and not allow_large:
+        raise ValueError(
+            f"n = {n} enumerates {math.factorial(n) ** 2} ordered pairs; "
+            "pass allow_large=True (CLI: --allow-large) to proceed"
+        )
 
 
 OneLine = tuple[int, ...]
@@ -102,6 +124,8 @@ class Permutation:
     @classmethod
     def from_string(cls, s: str) -> "Permutation":
         s = s.strip()
+        if not s:
+            raise ValueError("empty permutation")
         if "," in s:
             return cls(int(tok) for tok in s.split(","))
         return cls(int(ch) for ch in s)

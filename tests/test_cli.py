@@ -200,6 +200,14 @@ class TestCounterexample:
 
 
 class TestWitness:
+    @pytest.mark.parametrize("w, wprime", [("1", "1"), ("4231567", "1324567")])
+    def test_out_of_range_n_names_the_equation_range(self, w, wprime, capsys):
+        argv = ["witness", "verify", "--n", str(len(w)), "--w", w, "--wprime", wprime]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: equation generation supports 2 <= n <= 6\n"
+
     def test_explicit_pair(self):
         code, out = run(
             ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324"]
@@ -298,6 +306,17 @@ class TestInputContract:
             ["pairs", "enumerate", "--n", "3", "--jobs", "-5"],
             ["counterexample", "scan", "--n", "7", "--w", "1324576",
              "--wprime", "1234567"],
+            ["pairs", "enumerate", "--n", "7"],
+            ["pairs", "enumerate", "--n", "8", "--allow-large"],
+            ["pairs", "enumerate", "--n", "1"],
+            ["patterns", "verify", "--n", "7"],
+            ["patterns", "verify", "--n", "8", "--allow-large"],
+            ["sample", "check", "--n", "7", "--w", "7654321"],
+            ["equations", "emit", "--n", "7", "--w", "7654321"],
+            ["witness", "verify", "--n", "7", "--w", "4231567", "--wprime", "1324567"],
+            ["sample", "check", "--n", "1", "--w", "1"],
+            ["patterns", "query", "--w", ""],
+            ["patterns", "query", "--w", " "],
         ],
         ids=[
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
@@ -305,6 +324,9 @@ class TestInputContract:
             "scan-incomparable", "scan-reversed", "scan-good", "witness-incomparable",
             "witness-reversed", "witness-good-explicit-ab", "witness-b-above-n",
             "witness-a-zero", "jobs-0", "jobs-negative", "scan-n7-pair",
+            "enumerate-n7-no-flag", "enumerate-n8", "enumerate-n1", "verify-n7-no-flag",
+            "verify-n8", "sample-n7", "emit-n7", "witness-n7", "sample-n1",
+            "query-empty", "query-blank",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):
@@ -313,6 +335,21 @@ class TestInputContract:
         assert code == 2
         assert captured.out == ""
         assert captured.err.startswith("error: ")
+
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["pairs", "enumerate", "--n", "3"], ["counterexample", "scan", "--n", "4"]],
+        ids=["enumerate", "scan"],
+    )
+    def test_unwritable_out(self, argv, tmp_path, capsys):
+        target = tmp_path / "missing" / "out.jsonl"
+        code = dispatch(argv + ["--out", str(target)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {target}: ")
+        assert not target.exists()
 
 
 class TestUsageErrors:

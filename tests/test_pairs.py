@@ -220,6 +220,20 @@ class TestEnumeration:
         with pytest.raises(ValueError):
             next(iter(enumerate_pairs(7)))
 
+    @pytest.mark.parametrize(
+        "n, verdict_filter, message",
+        [(4, "bogus", "unknown filter"), (8, "all", "enumeration supports")],
+        ids=["unknown-filter", "n8"],
+    )
+    def test_block_rejects_what_the_sweep_rejects(self, n, verdict_filter, message):
+        with pytest.raises(ValueError, match=message):
+            enumerate_block(n, 0, 1, verdict_filter)
+
+    def test_block_needs_no_opt_in(self):
+        # the caller takes the opt-in for n = 7 before it starts the workers
+        rows, ncomp, nbad = enumerate_block(7, 0, 1, "bad")
+        assert (rows, ncomp, nbad) == ([], 5040, 0)
+
     def test_block_split_matches_serial(self):
         import math
 

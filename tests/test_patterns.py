@@ -186,6 +186,21 @@ class TestTheorem:
             verify_pattern_theorem(7)
 
 
+class TestBadPartnerCounts:
+    """README's "bad-partner-admitting w" column: the w of S_n with a bad
+    partner, the same count on either side."""
+
+    @pytest.mark.parametrize("n, count", [(2, 0), (3, 0), (4, 1), (5, 19), (6, 243)])
+    def test_matches_readme(self, n, count):
+        sides = bad_partner_sides(n)
+        assert (len(sides["left"]), len(sides["right"])) == (count, count)
+
+    @pytest.mark.exhaustive
+    def test_s7_matches_readme(self):
+        sides = bad_partner_sides(7, allow_large=True)
+        assert (len(sides["left"]), len(sides["right"])) == (2697, 2697)
+
+
 class TestSchubertSingularity:
     def test_examples(self):
         assert schubert_singular(P("4231"))

@@ -1,11 +1,14 @@
 """Group elements, length, Bruhat order, and parabolic machinery."""
 
 import itertools
+from pathlib import Path
 
 import pytest
 
 from weylpairs.weyl import (
+    SIZE_LIMITS,
     Permutation,
+    check_size,
     standardize_subsystem,
     symmetric_group,
 )
@@ -25,6 +28,11 @@ class TestPermutationBasics:
         with pytest.raises(ValueError):
             Permutation([1, 1, 2])
 
+    @pytest.mark.parametrize("text", ["", "   "])
+    def test_rejects_empty_string(self, text):
+        with pytest.raises(ValueError, match="empty permutation"):
+            Permutation.from_string(text)
+
     def test_mul_and_inverse(self):
         w = Permutation.from_string("231")
         assert (w * w.inverse()) == Permutation.identity(3)
@@ -33,6 +41,36 @@ class TestPermutationBasics:
     def test_orbits(self):
         assert Permutation([4, 3, 2, 1]).orbits() == ((1, 4), (2, 3))
         assert Permutation([2, 3, 4, 1]).orbits() == ((1, 2, 3, 4),)
+
+
+class TestSizePolicy:
+    def test_ranges(self):
+        for family, (maximum, _) in SIZE_LIMITS.items():
+            check_size(family, 2, allow_large=True)
+            check_size(family, maximum, allow_large=True)
+            for n in (1, maximum + 1):
+                with pytest.raises(ValueError, match=f"^{family} supports 2 <= n <= {maximum}$"):
+                    check_size(family, n, allow_large=True)
+
+    def test_opt_in(self):
+        check_size("enumeration", 6)
+        with pytest.raises(ValueError, match="^n = 7 enumerates 25401600 ordered pairs; "):
+            check_size("enumeration", 7)
+        check_size("enumeration", 7, allow_large=True)
+
+    def test_readme_limits_match_the_table(self):
+        readme = Path(__file__).resolve().parent.parent / "README.md"
+        text = " ".join(readme.read_text().split())
+        enum_max, enum_large = SIZE_LIMITS["enumeration"]
+        eq_max, eq_large = SIZE_LIMITS["equation generation"]
+        assert enum_large == enum_max
+        assert (
+            f"`n = {enum_max}` enumeration and pattern verification are supported "
+            "behind `--allow-large`" in text
+        )
+        assert eq_large is None
+        assert f"Equation generation is capped at `n <= {eq_max}`" in text
+        assert f"take no `--allow-large` and stop at `n = {eq_max}`" in text
 
 
 class TestLength:
