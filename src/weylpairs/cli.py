@@ -10,23 +10,15 @@ check fails; 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import multiprocessing
-import os
 import sys
 
 from . import __version__
 from .mingen import min_gen_subsystem, min_gen_type_A_orbits
-from .pairs import (
-    CRITERIA,
-    EnumerationSummary,
-    enumerate_block,
-    enumerate_pairs,
-    is_good_orbitwise,
-    lex_tuples,
-    orbitwise_verdict,
-)
+from .pairs import CRITERIA, EnumerationSummary, enumerate_pairs, is_good_orbitwise
 from .patterns import left_bad_exists, right_bad_exists, verify_pattern_theorem
 from .serialize import (
     counterexample_dict,
@@ -87,21 +79,18 @@ def _bad_pair(args) -> tuple[Permutation, Permutation]:
     return w, wp
 
 
-def _default_jobs() -> int:
-    env = os.environ.get("WEYLPAIRS_JOBS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
-
-
-def _open_out(path):
+@contextlib.contextmanager
+def _output(path):
+    """stdout, or the file at ``path``, closed when the block ends."""
     if not path:
-        return sys.stdout
+        yield sys.stdout
+        return
     try:
-        return open(path, "w")
+        out = open(path, "w")
     except OSError as exc:
         raise ValueError(f"cannot write {path}: {exc.strerror}") from exc
+    with out:
+        yield out
 
 
 # ---------------------------------------------------------------------------
@@ -116,6 +105,8 @@ def cmd_pair_classify(args) -> int:
         if args.criteria == "all"
         else (args.criteria,)
     )
+    if {"chain", "parabolic"} & set(names):
+        check_size("group construction", args.n)
     results = {name: CRITERIA[name](args.n, w1, w2) for name in names}
     verdicts = {r.verdict for r in results.values()}
     if len(verdicts) != 1:
@@ -151,24 +142,23 @@ def cmd_pair_classify(args) -> int:
     return 0
 
 
-def _block_task(task) -> tuple[str, int, int]:
-    """Worker: one block's JSON lines, serialised here so that the parent
-    only writes them, plus the block's comparable and bad counts."""
-    rows, ncomp, nbad = enumerate_block(*task)
-    perms = {t: Permutation(t) for t in lex_tuples(task[0])}
-    text = "".join(
-        _dumps(verdict_dict(orbitwise_verdict(perms[t1], perms[t2], violation))) + "\n"
-        for t1, t2, violation in rows
+def _block_task(task) -> tuple[str, EnumerationSummary]:
+    """Worker: the JSON lines of the pairs whose w1 has lexicographic index
+    in [lo, hi), serialised here so that the parent only writes them, and
+    the block's summary.  The parent has taken the opt-in for a large n."""
+    n, lo, hi, verdict_filter = task
+    block = EnumerationSummary(n)
+    pairs = enumerate_pairs(
+        n, verdict_filter, allow_large=True, summary=block, rows=(lo, hi)
     )
-    return text, ncomp, nbad
+    return "".join(_dumps(verdict_dict(v)) + "\n" for v in pairs), block
 
 
 def cmd_pairs_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     check_size("enumeration", args.n, args.allow_large)
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if args.jobs > 1:
             summary = _enumerate_parallel(args, out)
         else:
@@ -186,10 +176,7 @@ def cmd_pairs_enumerate(args) -> int:
             },
             out,
         )
-        return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    return 0
 
 
 def _enumerate_parallel(args, out) -> EnumerationSummary:
@@ -203,9 +190,9 @@ def _enumerate_parallel(args, out) -> EnumerationSummary:
         tasks = [(args.n, lo, hi, args.filter) for lo, hi in bounds]
         # imap preserves task order, so output stays deterministic while
         # blocks stream out as they finish
-        for bidx, (text, ncomp, nbad) in enumerate(pool.imap(_block_task, tasks)):
-            summary.total_comparable += ncomp
-            summary.bad_count += nbad
+        for bidx, (text, block) in enumerate(pool.imap(_block_task, tasks)):
+            summary.total_comparable += block.total_comparable
+            summary.bad_count += block.bad_count
             out.write(text)
             print(f"block {bidx + 1}/{nblocks} done", file=sys.stderr)
     return summary
@@ -253,8 +240,7 @@ def cmd_counterexample_scan(args) -> int:
     check_size("equation generation", args.n)
     _require_together(args, "w", "wprime")
     pair = _bad_pair(args) if args.w is not None else None
-    out = _open_out(args.out)
-    try:
+    with _output(args.out) as out:
         if pair is not None:
             w, wp = pair
             _emit(counterexample_dict(additional_equation_scan(w, wp)), out)
@@ -266,10 +252,7 @@ def cmd_counterexample_scan(args) -> int:
             count += 1
             if count % 50 == 0:
                 print(f"scanned {count} bad pairs", file=sys.stderr)
-        return 0
-    finally:
-        if out is not sys.stdout:
-            out.close()
+    return 0
 
 
 def cmd_witness_verify(args) -> int:
@@ -351,7 +334,7 @@ def build_parser() -> argparse.ArgumentParser:
     enum.add_argument("--n", type=int, required=True)
     enum.add_argument("--filter", choices=("good", "bad", "all"), default="all")
     enum.add_argument("--out", default=None)
-    enum.add_argument("--jobs", type=int, default=_default_jobs())
+    enum.add_argument("--jobs", type=int, default=1)
     enum.add_argument("--allow-large", action="store_true")
     enum.set_defaults(func=cmd_pairs_enumerate)
 

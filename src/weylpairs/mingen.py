@@ -12,7 +12,7 @@ from collections import deque
 from dataclasses import dataclass
 
 from .linalg import Vector, independent_subset, in_span
-from .weyl import Permutation
+from .weyl import Permutation, symmetric_group
 
 
 @dataclass(frozen=True)
@@ -49,13 +49,7 @@ def min_gen_type_A_orbits(w: Permutation):
 
     Returns (orbits, positive pairs); must agree with the linear-algebra route.
     """
-    orbits = w.orbits()
-    pairs = []
-    for orb in orbits:
-        for a in range(len(orb)):
-            for b in range(a + 1, len(orb)):
-                pairs.append((orb[a], orb[b]))
-    return orbits, frozenset(pairs)
+    return w.orbits(), symmetric_group(w.n).min_gen_positive(w)
 
 
 def reflection_length(group, w) -> int:

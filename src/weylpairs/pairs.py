@@ -364,30 +364,23 @@ def enumerate_pairs(
     verdict_filter: str = "all",
     allow_large: bool = False,
     summary: EnumerationSummary | None = None,
+    rows: tuple[int, int] | None = None,
 ) -> Iterator[PairVerdict]:
     """Classify every Bruhat-comparable ordered pair of S_n by the orbitwise
     criterion, in lexicographic (w1, w2) order.
 
     If a ``summary`` is supplied its counters are updated while streaming.
+    ``rows=(lo, hi)`` keeps only the w1 with lexicographic index in [lo, hi):
+    the blocks of a partition of range(n!) stream, in block order, exactly
+    what one unrestricted call streams.
     """
     check_size("enumeration", n, allow_large)
     if summary is None:
         summary = EnumerationSummary(n)
     perms = {t: Permutation(t) for t in lex_tuples(n)}
-    rows = _filtered(classify_block(n, 0, len(perms), summary), verdict_filter)
-    for t1, t2, violation in rows:
+    lo, hi = (0, len(perms)) if rows is None else rows
+    if not 0 <= lo <= hi <= len(perms):
+        raise ValueError(f"rows must satisfy 0 <= lo <= hi <= {len(perms)}, got {rows}")
+    pairs = _filtered(classify_block(n, lo, hi, summary), verdict_filter)
+    for t1, t2, violation in pairs:
         yield orbitwise_verdict(perms[t1], perms[t2], violation)
-
-
-def enumerate_block(n: int, lo: int, hi: int, verdict_filter: str) -> tuple[list, int, int]:
-    """Classify the pairs whose w1 has lexicographic index in [lo, hi), as
-    rows (t1, t2, violation) plus the block's comparable and bad counts.
-
-    Worker unit for parallel enumeration: deterministic output independent of
-    scheduling, merged in block order by the caller, which takes the opt-in
-    for a large n; this checks only the hard range and the filter.
-    """
-    check_size("enumeration", n, allow_large=True)
-    summary = EnumerationSummary(n)
-    rows = list(_filtered(classify_block(n, lo, hi, summary), verdict_filter))
-    return rows, summary.total_comparable, summary.bad_count

@@ -4,6 +4,8 @@ import hashlib
 import io
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
@@ -14,6 +16,7 @@ from jsonschema import Draft202012Validator
 
 from weylpairs import __version__
 from weylpairs.cli import dispatch
+from weylpairs.weyl import SIZE_LIMITS, SymmetricGroup
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "weylpairs" / "schema.json").read_text()
@@ -70,6 +73,32 @@ class TestPairClassify:
     def test_wrong_length_is_usage_error(self):
         code, _ = run(["pair", "classify", "--n", "5", "--w1", "1324", "--w2", "4231"])
         assert code == 2
+
+    @pytest.mark.parametrize("criteria", ["chain", "parabolic", "all"])
+    def test_whole_group_criteria_stop_before_building_the_group(
+        self, criteria, capsys, monkeypatch
+    ):
+        def refuse(group):
+            raise AssertionError(f"S_{group.n} was listed")
+
+        monkeypatch.setattr(SymmetricGroup, "elements_by_length", refuse)
+        argv = ["pair", "classify", "--n", "11", "--w1", "1,2,3,4,5,6,7,8,9,10,11",
+                "--w2", "2,1,3,4,5,6,7,8,9,10,11", "--criteria", criteria]
+        assert dispatch(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        maximum, _ = SIZE_LIMITS["group construction"]
+        assert captured.err == f"error: group construction supports 2 <= n <= {maximum}\n"
+
+    def test_orbit_criterion_answers_past_the_group_bound(self):
+        code, out = run(
+            ["pair", "classify", "--n", "11", "--w1", "1,3,2,4,5,6,7,8,9,10,11",
+             "--w2", "11,10,9,8,7,6,5,4,3,2,1", "--criteria", "orbit"]
+        )
+        assert code == 0
+        record = json.loads(out)
+        validate(record, "pair_classification")
+        assert record["criteria"] == {"orbit": "good"}
 
 
 class TestEnumerate:
@@ -372,6 +401,26 @@ class TestUsageErrors:
     def test_bad_permutation_string(self):
         code, _ = run(["mings", "show", "--n", "4", "--w", "4431"])
         assert code == 2
+
+
+def _readme_cli_commands() -> list[list[str]]:
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("\n## CLI\n", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    commands = [shlex.split(line, comments=True) for line in block.splitlines()]
+    return [argv[1:] for argv in commands if argv and argv[0] == "weylpairs"]
+
+
+@pytest.mark.parametrize("argv", _readme_cli_commands(), ids=" ".join)
+def test_readme_cli_block(argv, tmp_path, monkeypatch):
+    # the block writes files (--out), so it runs in a scratch directory
+    monkeypatch.chdir(tmp_path)
+    code, out = run(argv)
+    assert code == 0
+    if "text" not in argv:
+        validator = Draft202012Validator(SCHEMA)
+        for line in out.splitlines():
+            validator.validate(json.loads(line))
 
 
 def test_python_dash_m_runs_the_cli():

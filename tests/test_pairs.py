@@ -15,7 +15,6 @@ from weylpairs.pairs import (
     _leq_indices,
     _packed_tableaux,
     _tuples_leq,
-    enumerate_block,
     enumerate_pairs,
     is_good_chain,
     is_good_flattening,
@@ -227,12 +226,22 @@ class TestEnumeration:
     )
     def test_block_rejects_what_the_sweep_rejects(self, n, verdict_filter, message):
         with pytest.raises(ValueError, match=message):
-            enumerate_block(n, 0, 1, verdict_filter)
+            next(enumerate_pairs(n, verdict_filter, allow_large=True, rows=(0, 1)))
 
-    def test_block_needs_no_opt_in(self):
-        # the caller takes the opt-in for n = 7 before it starts the workers
-        rows, ncomp, nbad = enumerate_block(7, 0, 1, "bad")
-        assert (rows, ncomp, nbad) == ([], 5040, 0)
+    def test_block_at_n7_with_the_opt_in(self):
+        # the first row of S7 is the identity: comparable to everything, no bad pair
+        summary = EnumerationSummary(7)
+        pairs = list(
+            enumerate_pairs(7, "bad", allow_large=True, summary=summary, rows=(0, 1))
+        )
+        assert (pairs, summary.total_comparable, summary.bad_count) == ([], 5040, 0)
+        with pytest.raises(ValueError, match="allow_large"):
+            next(enumerate_pairs(7, "bad", rows=(0, 1)))
+
+    @pytest.mark.parametrize("rows", [(-1, 3), (3, 2), (0, 25)])
+    def test_block_rejects_rows_outside_the_group(self, rows):
+        with pytest.raises(ValueError, match="rows must satisfy"):
+            next(enumerate_pairs(4, rows=rows))
 
     def test_block_split_matches_serial(self):
         import math
@@ -245,10 +254,13 @@ class TestEnumeration:
         merged = []
         comparable = bad = 0
         for lo, hi in ((0, 7), (7, 15), (15, total)):
-            rows, ncomp, nbad = enumerate_block(4, lo, hi, "all")
-            comparable += ncomp
-            bad += nbad
-            merged.extend((t1, t2, vio) for t1, t2, vio in rows)
+            block = EnumerationSummary(4)
+            merged.extend(
+                (v.w1.one_line, v.w2.one_line, v.violating_orbit)
+                for v in enumerate_pairs(4, "all", summary=block, rows=(lo, hi))
+            )
+            comparable += block.total_comparable
+            bad += block.bad_count
         assert merged == serial
         assert comparable == FIXTURE["total_comparable"]
         assert bad == FIXTURE["bad_count"]

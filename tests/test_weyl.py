@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from weylpairs.linalg import in_span
 from weylpairs.weyl import (
     SIZE_LIMITS,
     Permutation,
@@ -71,6 +72,14 @@ class TestSizePolicy:
         assert eq_large is None
         assert f"Equation generation is capped at `n <= {eq_max}`" in text
         assert f"take no `--allow-large` and stop at `n = {eq_max}`" in text
+        group_max, group_large = SIZE_LIMITS["group construction"]
+        assert group_large is None
+        assert f"Group construction is capped at `n <= {group_max}`" in text
+        assert f"`pair classify --n` above {group_max} with `--criteria chain`" in text
+        assert (
+            "`pair classify` with `--criteria chain`, `parabolic` or `all` stops at "
+            f"`n = {group_max}`, while `orbit` and `flatten` answer at any n" in text
+        )
 
 
 class TestLength:
@@ -255,6 +264,17 @@ class TestParabolic:
 
 
 class TestStandardize:
+    def test_standard_positive_is_the_span_of_J(self):
+        # type A's interval rule against its definition, roots in span(alpha_j, j in J)
+        group = symmetric_group(5)
+        for r in range(len(group.simple_keys) + 1):
+            for J in itertools.combinations(group.simple_keys, r):
+                basis = [group.root_vector(group.simple_root_key(j)) for j in J]
+                expected = {
+                    p for p in group.positive_keys if in_span(basis, group.root_vector(p))
+                }
+                assert group.standard_positive(J) == expected
+
     def test_empty_set(self, s4):
         u, j_set = standardize_subsystem(s4, frozenset())
         assert u == s4.identity and j_set == frozenset()
