@@ -14,6 +14,7 @@ import contextlib
 import json
 import math
 import multiprocessing
+import os
 import sys
 
 from . import __version__
@@ -42,7 +43,7 @@ from .weyl import Permutation, check_size, symmetric_group
 
 INTERFACE_VERSION = "1.0"
 
-CRITERIA_CHOICES = ("chain", "parabolic", "orbit", "flatten", "all")
+CRITERIA_CHOICES = (*CRITERIA, "all")
 
 
 def _dumps(obj) -> str:
@@ -100,11 +101,7 @@ def _output(path):
 def cmd_pair_classify(args) -> int:
     w1 = _perm(args.w1, args.n)
     w2 = _perm(args.w2, args.n)
-    names = (
-        ("chain", "parabolic", "orbit", "flatten")
-        if args.criteria == "all"
-        else (args.criteria,)
-    )
+    names = tuple(CRITERIA) if args.criteria == "all" else (args.criteria,)
     if {"chain", "parabolic"} & set(names):
         check_size("group construction", args.n)
     results = {name: CRITERIA[name](args.n, w1, w2) for name in names}
@@ -158,9 +155,10 @@ def cmd_pairs_enumerate(args) -> int:
     if args.jobs < 1:
         raise ValueError(f"--jobs must be at least 1, got {args.jobs}")
     check_size("enumeration", args.n, args.allow_large)
+    jobs = min(args.jobs, os.cpu_count() or 1)
     with _output(args.out) as out:
-        if args.jobs > 1:
-            summary = _enumerate_parallel(args, out)
+        if jobs > 1:
+            summary = _enumerate_parallel(args, jobs, out)
         else:
             summary = EnumerationSummary(args.n)
             for v in enumerate_pairs(
@@ -179,14 +177,14 @@ def cmd_pairs_enumerate(args) -> int:
     return 0
 
 
-def _enumerate_parallel(args, out) -> EnumerationSummary:
+def _enumerate_parallel(args, jobs: int, out) -> EnumerationSummary:
     total = math.factorial(args.n)
-    nblocks = min(total, args.jobs * 4)
+    nblocks = min(total, jobs * 4)
     bounds = [
         (total * k // nblocks, total * (k + 1) // nblocks) for k in range(nblocks)
     ]
     summary = EnumerationSummary(args.n)
-    with multiprocessing.Pool(args.jobs) as pool:
+    with multiprocessing.Pool(min(jobs, nblocks)) as pool:
         tasks = [(args.n, lo, hi, args.filter) for lo, hi in bounds]
         # imap preserves task order, so output stays deterministic while
         # blocks stream out as they finish

@@ -10,8 +10,8 @@ structurally equal, hashable, and print identically.
 Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``: every generated equation has integer coefficients, and ``int``
 arithmetic is many times faster.  Since ``str``, ``hash`` and ``==`` agree on
-``3`` and ``Fraction(3)``, the stored type never shows in canonical strings,
-JSON terms or comparisons.
+``3`` and ``Fraction(3)``, the stored type never shows in canonical strings or
+comparisons.
 """
 
 from __future__ import annotations
@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
 from typing import Iterable, Mapping, Optional
 
 from .roots import subset_leq
@@ -236,19 +235,10 @@ class SparsePolynomial:
     def evaluate(self, point: Mapping[Variable, Fraction]) -> Fraction:
         """Exact evaluation at a point of ``int``/``Fraction`` values; every
         variable must be assigned, except that a monomial stops at its first
-        zero factor.
-
-        Integer factors multiply the monomial directly.  A ``Fraction``
-        factor puts its numerator into the monomial and its denominator into
-        the monomial's denominator; monomials with a denominator are summed
-        separately over one running denominator, with one gcd each, so no
-        ``Fraction`` arithmetic runs until the single result is built.
-        """
-        total = 0  # monomials without a denominator
-        frac_num, frac_den = 0, 1  # the others
+        zero factor."""
+        total = 0
         for mono, c in self._terms.items():
             val = c
-            den = 1
             for v, e in mono:
                 try:
                     base = point[v]
@@ -256,24 +246,10 @@ class SparsePolynomial:
                     raise IncompletePointError(f"no value for variable {var_name(v)}")
                 if not base:
                     break  # the monomial is 0
-                if type(base) is int:
-                    val *= base if e == 1 else base**e
-                elif e == 1:
-                    val *= base.numerator
-                    den *= base.denominator
-                else:
-                    val *= base.numerator**e
-                    den *= base.denominator**e
+                val *= base if e == 1 else base**e
             else:
-                if den == 1:
-                    total += val
-                else:
-                    g = gcd(frac_den, den)
-                    frac_num = frac_num * (den // g) + val * (frac_den // g)
-                    frac_den = frac_den // g * den
-        if frac_den == 1:
-            return Fraction(total)
-        return Fraction(total * frac_den + frac_num, frac_den)
+                total += val
+        return Fraction(total)
 
     # -- serialization ------------------------------------------------------------
     def canonical_str(self) -> str:
@@ -297,21 +273,6 @@ class SparsePolynomial:
             else:
                 parts.append((" - " if coeff < 0 else " + ") + body)
         return "".join(parts)
-
-    def to_json_terms(self) -> list:
-        """Stable JSON form: [[coeff, [[var, exp], ...]], ...]."""
-        out = []
-        for mono, coeff in self.sorted_terms():
-            out.append([str(coeff), [[var_name(v), e] for v, e in mono]])
-        return out
-
-    @classmethod
-    def from_json_terms(cls, data) -> "SparsePolynomial":
-        terms: dict[tuple, Fraction] = {}
-        for coeff, mono in data:
-            key = tuple((parse_var_name(nm), int(e)) for nm, e in mono)
-            terms[key] = Fraction(coeff)
-        return cls(terms)
 
     def __repr__(self) -> str:
         return f"<poly {self.canonical_str()}>"

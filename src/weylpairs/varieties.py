@@ -161,8 +161,7 @@ def cell_equations(w: Permutation) -> CellDescription:
 # colinearity polynomials
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None)
-def _colinearity_sum(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
+def _colinearity_polynomial(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
     """sum over j of Delta^j_indices(u + lambda id) x_j; shared across all w."""
     d = len(indices)
     total = SparsePolynomial.zero()
@@ -177,7 +176,7 @@ def _colinearity_sum(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
 @lru_cache(maxsize=None)
 def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
     """The lambda-coefficients C_{I,0}, ..., C_{I,d} of
-    ``_colinearity_sum(n, I)``, with d = |I|, checked once for all w:
+    ``_colinearity_polynomial(n, I)``, with d = |I|, checked once for all w:
 
     * C_{I,d} is exactly x_I and nothing is higher, so lambda^d cancels
       against the diagonal product and P_{w,I,s} exists for s < d only;
@@ -185,7 +184,7 @@ def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparseP
       e_{d-s}(t), so P_{w,I,s} is homogeneous of that degree.
     """
     d = len(indices)
-    coeffs = tuple(_colinearity_sum(n, indices).lambda_coefficients())
+    coeffs = tuple(_colinearity_polynomial(n, indices).lambda_coefficients())
     if len(coeffs) != d + 1 or coeffs[d] != SparsePolynomial.variable(x_var(indices)):
         raise VerificationFailedError(
             f"the colinearity sum of {indices} (n = {n}) has lambda degree "
@@ -224,7 +223,7 @@ def p_polynomial(w: Permutation, indices: tuple[int, ...]) -> SparsePolynomial:
     """P_{w,indices}(lambda); vanishes identically on the cell of w."""
     n = w.n
     d = len(indices)
-    return _colinearity_sum(n, tuple(indices)) - _diagonal_product(w, d) * (
+    return _colinearity_polynomial(n, tuple(indices)) - _diagonal_product(w, d) * (
         SparsePolynomial.variable(x_var(indices))
     )
 

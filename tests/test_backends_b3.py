@@ -1,7 +1,7 @@
 """Bruhat order on the rank-3 hyperoctahedral group against a closure oracle.
 
-The group has 48 elements, above the precomputed-table threshold, so this
-exercises the per-query subword recursion.
+The group has 48 elements; every query runs through the subword recursion
+of ``ReflectionGroup.bruhat_leq``.
 """
 
 from conftest import bruhat_closure_oracle

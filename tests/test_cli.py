@@ -127,6 +127,38 @@ class TestEnumerate:
         )
         assert serial == parallel
 
+    @pytest.mark.parametrize("cpus", [None, 4, 64])
+    @pytest.mark.parametrize(
+        "n, jobs, blocks", [("3", "8", 6), ("4", "1000", 24)], ids=["n3-jobs8", "n4-jobs1000"]
+    )
+    def test_workers_capped_by_cpus_and_blocks(self, monkeypatch, n, jobs, blocks, cpus):
+        import multiprocessing
+
+        from weylpairs import cli
+
+        asked = []
+
+        class InProcessPool:
+            def __init__(self, processes):
+                asked.append(processes)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def imap(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        _, serial = run(["pairs", "enumerate", "--n", n, "--filter", "all"])
+        _, parallel = run(["pairs", "enumerate", "--n", n, "--filter", "all", "--jobs", jobs])
+        assert parallel == serial
+        cap = min(blocks, cpus or 1)
+        assert asked == ([cap] if cap > 1 else [])
+
     def test_out_file(self, tmp_path):
         target = tmp_path / "pairs.jsonl"
         code, out = run(

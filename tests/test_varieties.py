@@ -274,6 +274,8 @@ class TestPPolynomialsFastPath:
             ), w.to_string()
 
     def test_integral_point_coordinates_are_int(self):
+        """Every point the checks evaluate at is ``int`` once its psi is
+        scaled, so ``evaluate`` never sees a ``Fraction`` on these paths."""
         w = P("4231")
         plucker_values, psi = sample_point_on_Vw(w, 3)
         point = point_assignment(4, plucker_values, psi)
@@ -281,6 +283,15 @@ class TestPPolynomialsFastPath:
             assert type(value) in (int, F)
             assert (type(value) is int) == (F(value).denominator == 1)
         assert all(type(point[x_var(tup)]) is int for tup in plucker_values)
+        points = [
+            point_assignment(w.n, *sample_point_on_Vw(w, seed))
+            for w in (P("42351"), P("54321"), P("563421"), P("351624"), P("123456"))
+            for seed in (1, 7)
+        ]
+        witness = additional_equation_scan(P("126453"), P("123546")).witness.point
+        points.append(point_assignment(6, witness.plucker_values, witness.psi))
+        for point in points:
+            assert all(type(value) is int for value in varieties._integral_psi(point).values())
 
 
 def _materialised_p_check(eqs, point):
@@ -416,8 +427,8 @@ class TestFactoredPCheck:
             # (u, t)-degree 1 in the lambda^0 coefficient, which needs d - 0 = 2
             "inhomogeneous": SparsePolynomial.variable(x_var((2, 3))) * SparsePolynomial.variable(t_var(1)),
         }[doctor]
-        doctored = varieties._colinearity_sum(n, indices) + extra
-        monkeypatch.setattr(varieties, "_colinearity_sum", lambda n_, idx: doctored)
+        doctored = varieties._colinearity_polynomial(n, indices) + extra
+        monkeypatch.setattr(varieties, "_colinearity_polynomial", lambda n_, idx: doctored)
         with pytest.raises(varieties.VerificationFailedError):
             varieties._colinearity_coefficients.__wrapped__(n, indices)
 
