@@ -55,10 +55,6 @@ class PairVerdict:
     parabolic: Optional[ParabolicData] = None
     violating_orbit: Optional[tuple] = None  # (orbit values, i, j)
 
-    @property
-    def is_good(self) -> bool:
-        return self.verdict == "good"
-
 
 def _incomparable(w1, w2, criterion: str) -> PairVerdict:
     return PairVerdict(w1, w2, comparable=False, verdict="incomparable", criterion=criterion)

@@ -29,13 +29,11 @@ LEFT_PATTERNS: dict[tuple[int, ...], tuple[int, ...]] = {
     (3, 5, 1, 6, 2, 4): (1, 2, 4, 3, 5, 6),
 }
 
-# right patterns are the value complements w0 * p of the left ones; the model
-# pair embeds upside down (partner is the larger element)
+# right patterns are the value complements w0 * p of the left ones, and so are
+# their model partners; the model pair embeds upside down (partner is larger)
 RIGHT_PATTERNS: dict[tuple[int, ...], tuple[int, ...]] = {
-    (1, 3, 2, 4): (4, 2, 3, 1),
-    (2, 4, 1, 5, 3): (5, 3, 4, 2, 1),
-    (3, 1, 5, 2, 4): (5, 4, 2, 3, 1),
-    (4, 2, 6, 1, 5, 3): (6, 5, 3, 4, 2, 1),
+    tuple(len(p) + 1 - v for v in p): tuple(len(m) + 1 - v for v in m)
+    for p, m in LEFT_PATTERNS.items()
 }
 
 SINGULARITY_PATTERNS = ((3, 4, 1, 2), (4, 2, 3, 1))

@@ -11,7 +11,9 @@ Integral coefficients are stored as ``int`` and only the others as
 ``Fraction``: every generated equation has integer coefficients, and ``int``
 arithmetic is many times faster.  Since ``str``, ``hash`` and ``==`` agree on
 ``3`` and ``Fraction(3)``, the stored type never shows in canonical strings or
-comparisons.
+comparisons.  ``evaluate`` multiplies and adds the numbers as they come, so
+an integer polynomial evaluates to an ``int`` at an ``int`` point; a
+``Fraction`` coordinate gives a ``Fraction``.
 """
 
 from __future__ import annotations
@@ -206,9 +208,9 @@ class SparsePolynomial:
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
 
-    def leading_coefficient(self) -> Fraction:
+    def leading_coefficient(self) -> int | Fraction:
         terms = self.sorted_terms()
-        return Fraction(terms[0][1]) if terms else Fraction(0)
+        return terms[0][1] if terms else 0
 
     def lambda_degree(self) -> int:
         deg = 0
@@ -232,10 +234,17 @@ class SparsePolynomial:
             buckets[s][tuple(rest)] = c
         return [_raw(b) for b in buckets]
 
-    def evaluate(self, point: Mapping[Variable, Fraction]) -> Fraction:
+    def evaluate(self, point: Mapping[Variable, int | Fraction]) -> int | Fraction:
         """Exact evaluation at a point of ``int``/``Fraction`` values; every
         variable must be assigned, except that a monomial stops at its first
-        zero factor."""
+        zero factor.
+
+        >>> p = parse_polynomial("2*x1*x2 - 1")
+        >>> p.evaluate({x_var([1]): 3, x_var([2]): 2})
+        11
+        >>> p.evaluate({x_var([1]): Fraction(1, 2), x_var([2]): 3})
+        Fraction(2, 1)
+        """
         total = 0
         for mono, c in self._terms.items():
             val = c
@@ -249,7 +258,7 @@ class SparsePolynomial:
                 val *= base if e == 1 else base**e
             else:
                 total += val
-        return Fraction(total)
+        return total
 
     # -- serialization ------------------------------------------------------------
     def canonical_str(self) -> str:

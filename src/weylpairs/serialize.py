@@ -1,6 +1,6 @@
 """JSON-friendly dictionaries for every CLI-visible result type.
 
-Exact rationals serialize as canonical fraction strings ("0", "5", "-3/2");
+Exact numbers serialize as their ``str`` ("0", "5", "-3/2");
 permutations as one-line strings; type-A roots as integer coordinate vectors.
 All dictionaries are built with deterministic key and element order so that
 identical runs emit byte-identical JSON.
@@ -15,10 +15,6 @@ from .pairs import PairVerdict
 from .patterns import PatternReport
 from .varieties import CounterexampleReport, EquationSet, WitnessVerification
 from .weyl import Permutation, SymmetricGroup
-
-
-def frac_str(x) -> str:
-    return str(Fraction(x))
 
 
 def root_coords(vec) -> list[int]:
@@ -146,9 +142,9 @@ def witness_dict(wv: WitnessVerification) -> dict:
         "w_prime": wv.w_prime.to_string(),
         "a": wv.a,
         "b": wv.b,
-        "t": [frac_str(x) for x in wv.point.diagonal],
+        "t": [str(x) for x in wv.point.diagonal],
         "plucker_nonzero": {
-            _indices_str(tup): frac_str(val)
+            _indices_str(tup): str(val)
             for tup, val in sorted(wv.point.plucker_values.items())
             if val != 0
         },

@@ -12,7 +12,7 @@ the x coordinates, and the lambda-coefficients of the colinearity polynomials
 
 Simplifying the relations on a cell yields one extra diagonal equation
 ``t_a = t_b`` valid on the closure; when a and b sit in different orbits of
-w w'^{-1}, an explicit rational point separates the closure from the naive
+w w'^{-1}, an explicit integer point separates the closure from the naive
 fiber and refutes the conjectural description of their intersection.  The
 scanner enumerates the (q, a, b) configurations, and the verifier checks the
 witness point against every equation family with exact arithmetic.
@@ -24,6 +24,11 @@ cached, so a point is checked against the P-family without building any
 P_{w,i,s}: it must satisfy C_{i,s}(pt) = e_{d-s}(pt) x_i(pt), with each e
 evaluated once per d.  The polynomials themselves are built only on request
 (``EquationSet.p_equations``).
+
+Points carry plain ``int`` coordinates.  Only the sampler and the witness
+builder make points, and every check is invariant under scaling psi, so
+neither needs a ``Fraction``; a diagonal that a caller hands to
+``verify_witness`` may still be rational, and is checked just as exactly.
 """
 
 from __future__ import annotations
@@ -31,16 +36,14 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd
 from typing import Optional
 
 from .linalg import integer_kernel, scaled_inverse
 from .poly import (
     LAMBDA,
     SparsePolynomial,
-    exact_number,
     normalize_plucker_indices,
     symbolic_minor,
     t_var,
@@ -291,7 +294,7 @@ def fiber_equations(w: Permutation, w_prime: Permutation) -> tuple[tuple[int, in
 
 
 # ---------------------------------------------------------------------------
-# rational sampling of cell points
+# integer sampling of cell points
 # ---------------------------------------------------------------------------
 
 def _random_upper_invertible(rng: random.Random, n: int) -> list[list[int]]:
@@ -339,7 +342,13 @@ def _sample_cell_point(
 ) -> tuple[dict, tuple]:
     """Shared sampler: a random point of the cell of ``cell_w`` whose psi also
     satisfies the given diagonal identifications t_p = t_q.  Every step runs
-    on integers; the psi entries become ``Fraction`` by one division each."""
+    on integers.
+
+    The kernel combination v over the denominator D of ``integer_kernel``
+    spans the same line as psi = v / D; every check is invariant under
+    positive scaling of psi, so psi is v / (gcd(v) sign(D)), its positive
+    primitive integer multiple.  Dividing by D itself would leave rationals
+    with denominators of 100+ bits on S6 cells."""
     n = cell_w.n
     rng = random.Random(seed)
     b1 = _random_upper_invertible(rng, n)
@@ -350,7 +359,7 @@ def _sample_cell_point(
         [sum(row[k] * b2[k][j] for k in range(j + 1)) for j in range(n)]
         for row in b1_pw
     ]
-    plucker_values = {rows: Fraction(v) for rows, v in _leading_minors(g).items()}
+    plucker_values = _leading_minors(g)
     # adj = D g^{-1}; scaling each constraint row by D keeps the kernel
     adj, _ = scaled_inverse(g)
     unknowns = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
@@ -368,16 +377,16 @@ def _sample_cell_point(
         constraint_rows.append(row)
     basis, denominator = integer_kernel(constraint_rows, ncols=len(unknowns))
     combo = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in basis]
-    psi = [[Fraction(0)] * n for _ in range(n)]
-    for idx, (k, l) in enumerate(unknowns):
-        psi[k - 1][l - 1] = Fraction(
-            sum(c * vec[idx] for c, vec in zip(combo, basis)), denominator
-        )
+    v = [sum(c * vec[idx] for c, vec in zip(combo, basis)) for idx in range(len(unknowns))]
+    scale = (gcd(*v) or 1) * (1 if denominator > 0 else -1)
+    psi = [[0] * n for _ in range(n)]
+    for (k, l), entry in zip(unknowns, v):
+        psi[k - 1][l - 1] = entry // scale
     return plucker_values, tuple(tuple(row) for row in psi)
 
 
 def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
-    """A random exact rational point of the cell of w.
+    """A random integer point of the cell of w.
 
     Draw invertible upper-triangular integer b1, b2 and set g = b1 P_w b2,
     so the flag of g lies in the cell; the Pluecker coordinates are the
@@ -385,8 +394,8 @@ def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
     expansion.  Then solve the exact linear system keeping psi
     upper-triangular with g^{-1} psi g upper-triangular: its rows are built
     from adj(g) = D g^{-1}, which has the same kernel, and a random integer
-    combination of the kernel basis gives psi.  Pluecker values and psi
-    entries are ``Fraction``.
+    combination of the kernel basis, made primitive, gives psi.  Pluecker
+    values and psi entries are ``int``.
     """
     return _sample_cell_point(w, (), seed)
 
@@ -409,36 +418,17 @@ def _cached_sample_assignment(one_line: tuple[int, ...], seed: int) -> dict:
 
 
 def point_assignment(n: int, plucker_values: dict, psi) -> dict:
-    """Assemble the variable assignment of a point for exact evaluation."""
+    """Assemble the variable assignment of a point for exact evaluation;
+    the values are copied as they are."""
     point = {}
     for d in range(1, n):
         for tup in itertools.combinations(range(1, n + 1), d):
-            point[x_var(tup)] = exact_number(plucker_values.get(tup, 0))
+            point[x_var(tup)] = plucker_values.get(tup, 0)
     for k in range(1, n + 1):
-        point[t_var(k)] = exact_number(psi[k - 1][k - 1])
+        point[t_var(k)] = psi[k - 1][k - 1]
         for l in range(k + 1, n + 1):
-            point[u_var(k, l)] = exact_number(psi[k - 1][l - 1])
+            point[u_var(k, l)] = psi[k - 1][l - 1]
     return point
-
-
-def _integral_psi(point: dict) -> dict:
-    """The point with its psi coordinates u and t multiplied by the lcm L of
-    their denominators, so that they are ``int``.
-
-    Each P_{w,I,s} is homogeneous of degree d - s in (u, t), so
-    P(x, Lu, Lt) = L^(d-s) P(x, u, t): the scaled point satisfies exactly
-    the same P-equations, and they evaluate without ``Fraction`` arithmetic.
-    """
-    scale = 1
-    for (kind, _), value in point.items():
-        if kind in ("u", "t") and type(value) is not int:
-            scale = lcm(scale, value.denominator)
-    if scale == 1:
-        return point
-    return {
-        v: exact_number(value * scale) if v[0] in ("u", "t") else value
-        for v, value in point.items()
-    }
 
 
 def _p_family_holds(eqs: EquationSet, point: dict) -> bool:
@@ -446,11 +436,9 @@ def _p_family_holds(eqs: EquationSet, point: dict) -> bool:
     C_{I,s}(pt) == e_{d-s}(t_{w(1..d)})(pt) * x_I(pt) from the cached
     w-independent factors."""
     n = eqs.n
-    point = _integral_psi(point)
     for d in range(1, n):
         diagonal = [
-            exact_number(e.evaluate(point))
-            for e in _subset_product_coefficients(_prefix_set(eqs.w, d))[:d]
+            e.evaluate(point) for e in _subset_product_coefficients(_prefix_set(eqs.w, d))[:d]
         ]
         for indices in itertools.combinations(range(1, n + 1), d):
             colinear = _colinearity_coefficients(n, indices)
@@ -498,7 +486,7 @@ class WitnessPoint:
     psi: tuple
 
     @property
-    def diagonal(self) -> tuple[Fraction, ...]:
+    def diagonal(self) -> tuple:
         return tuple(self.psi[i][i] for i in range(len(self.psi)))
 
 
@@ -588,7 +576,7 @@ def _check_ab(n: int, a: int, b: int) -> None:
         raise ValueError(f"need 1 <= a, b <= {n}, got a={a}, b={b}")
 
 
-def witness_diagonal(w: Permutation, w_prime: Permutation, a: int, b: int) -> tuple[Fraction, ...]:
+def witness_diagonal(w: Permutation, w_prime: Permutation, a: int, b: int) -> tuple[int, ...]:
     """Deterministic diagonal: 0 on the orbit of a, 1 on the orbit of b, then
     2, 3, ... on the remaining orbits in order of smallest element."""
     _check_ab(w.n, a, b)
@@ -604,10 +592,10 @@ def witness_diagonal(w: Permutation, w_prime: Permutation, a: int, b: int) -> tu
         if orbit not in color:
             color[orbit] = nxt
             nxt += 1
-    t = [Fraction(0)] * w.n
+    t = [0] * w.n
     for orbit, c in color.items():
         for v in orbit:
-            t[v - 1] = Fraction(c)
+            t[v - 1] = c
     return tuple(t)
 
 
@@ -618,7 +606,8 @@ def verify_witness(
     b: int,
     diagonal=None,
 ) -> WitnessVerification:
-    """Construct the canonical witness point and run the five checks:
+    """Construct the canonical integer witness point (a caller-supplied
+    ``diagonal`` may be rational) and run the five checks:
 
     1. all Pluecker and incidence relations vanish,
     2. the cell (in)equations of w' hold,
@@ -632,18 +621,13 @@ def verify_witness(
     n = w.n
     check_size("equation generation", n)
     _check_ab(n, a, b)
-    if diagonal is None:
-        t = witness_diagonal(w, w_prime, a, b)
-    else:
-        t = tuple(Fraction(v) for v in diagonal)
+    t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
     plucker_values = {}
     for d in range(1, n):
         lead = _prefix_set(w_prime, d)
         for tup in itertools.combinations(range(1, n + 1), d):
-            plucker_values[tup] = Fraction(1 if tup == lead else 0)
-    psi = tuple(
-        tuple(t[i] if i == j else Fraction(0) for j in range(n)) for i in range(n)
-    )
+            plucker_values[tup] = int(tup == lead)
+    psi = tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
     point = point_assignment(n, plucker_values, psi)
     eqs = p_polynomials(w_prime)
     families = check_point_families(eqs, point)
@@ -671,10 +655,10 @@ def verify_witness(
 # simplified incidence identities on sampled cell points
 # ---------------------------------------------------------------------------
 
-def _product_value(point: dict, indices) -> Fraction:
+def _product_value(point: dict, indices):
     sign, sorted_idx = normalize_plucker_indices(indices)
     if sign == 0:
-        return Fraction(0)
+        return 0
     return sign * point[x_var(sorted_idx)]
 
 

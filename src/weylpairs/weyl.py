@@ -27,7 +27,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .linalg import Vector, independent_subset, in_span, kernel_basis
-from .roots import RootSystem, build_named, build_type_A
+from .roots import RootSystem, build_named
 
 
 class InternalInvariantError(RuntimeError):
@@ -304,10 +304,6 @@ class SymmetricGroup:
             v[i - 1] -= 1
             out.append(tuple(v))
         return out
-
-    @property
-    def system(self) -> RootSystem:
-        return build_type_A(self.n)
 
 
 class ReflectionGroup:

@@ -337,6 +337,59 @@ class TestPinnedDigests:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == digest
 
+    @staticmethod
+    def sample_runs(n, cells, seeds, samples):
+        return [
+            ["sample", "check", "--n", str(n), "--w", w, "--samples", str(samples),
+             "--seed", str(seed)]
+            for w in cells for seed in seeds
+        ]
+
+    @staticmethod
+    def witness_runs(n, pairs):
+        """`witness verify` on (w, w', (a, b)) triples; (a, b) None lets the
+        scanner pick the hit."""
+        runs = []
+        for w, wp, ab in pairs:
+            argv = ["witness", "verify", "--n", str(n), "--w", w, "--wprime", wp]
+            if ab is not None:
+                argv += ["--a", str(ab[0]), "--b", str(ab[1])]
+            runs.append(argv)
+        return runs
+
+    @pytest.mark.parametrize(
+        "name, digest",
+        [
+            ("sample-n4", "cdbcafda8664ac25b422cc2993d1cdb471fbe455d5fcb5a0cd9d935f121725d6"),
+            ("sample-n5", "8b8510422b902104b22f8d3b0a7b35c0be56a0d49d9b3e5483cca4512d941c17"),
+            ("sample-n6", "7811a109e7fbeea545079eabf718d5d1c04beef0b48ad125bccf7d17050ba844"),
+            ("witness-ab", "6e7f5ee3e2c96a3c09ce699506b027b8f02aef35eb756dd14a9c9ca6897032d1"),
+            ("witness-scan", "7e1fe2afa1bdffc9fb2cd651b18446ac563d7e50fdf46a32aea8a21845346a64"),
+            ("witness-unknown", "48a5979724cab1a10a9d9b139e79077e1d2c23b34a9e69989f7fcf4e0364257c"),
+        ],
+    )
+    def test_joined_stdout_sha256(self, name, digest):
+        """The stdout of several runs, joined: sampled cell points and witness
+        points, whose numbers the checks and records are built from."""
+        runs = {
+            "sample-n4": self.sample_runs(4, ("1234", "3142", "4231", "4321"), (1, 7, 42), 4),
+            "sample-n5": self.sample_runs(5, ("12345", "35142", "42513", "54321"), (3, 11), 3),
+            "sample-n6": self.sample_runs(6, ("123456", "351624", "426153", "653421"), (5, 13), 2),
+            "witness-ab": self.witness_runs(4, [("4231", "1324", (1, 2)), ("4231", "1324", (3, 4))])
+            + self.witness_runs(5, [("52413", "13254", (3, 5))])
+            + self.witness_runs(6, [("126453", "123546", (5, 6)), ("563412", "154263", (4, 6))]),
+            "witness-scan": self.witness_runs(4, [("4231", "1324", None)])
+            + self.witness_runs(5, [("15342", "12435", None), ("52413", "14253", None)])
+            + self.witness_runs(6, [("126453", "123546", None), ("635421", "253614", None)]),
+            "witness-unknown": self.witness_runs(6, [("653421", "124356", None)]),
+        }[name]
+        out = []
+        for argv in runs:
+            code, text = run(argv)
+            assert code == 0, argv
+            out.append(text)
+        assert hashlib.sha256("".join(out).encode()).hexdigest() == digest
+
 
 class TestInputContract:
     """Inputs the CLI cannot answer exit 2 with a message and print nothing."""

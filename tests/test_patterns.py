@@ -144,6 +144,20 @@ class TestPatternLists:
             complement = tuple(n + 1 - v for v in left_pat)
             assert complement in RIGHT_PATTERNS
 
+    def test_right_table_is_readme_complements_and_partners(self):
+        # README: the right patterns 1324, 24153, 31524, 426153, in the order
+        # of their left patterns; each partner is the complement of the left
+        # pattern's model partner
+        assert RIGHT_PATTERNS == {
+            (1, 3, 2, 4): (4, 2, 3, 1),
+            (2, 4, 1, 5, 3): (5, 3, 4, 2, 1),
+            (3, 1, 5, 2, 4): (5, 4, 2, 3, 1),
+            (4, 2, 6, 1, 5, 3): (6, 5, 3, 4, 2, 1),
+        }
+        assert ["".join(map(str, p)) for p in RIGHT_PATTERNS] == [
+            "1324", "24153", "31524", "426153"
+        ]
+
     def test_long_left_patterns_contain_3412(self):
         for pat in ("42513", "35142", "351624"):
             assert has_pattern(P(pat), P("3412")) is not None

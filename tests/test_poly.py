@@ -104,6 +104,18 @@ def fraction_evaluate(p, point):
     return total
 
 
+def evaluated_type(p, point):
+    """The type ``evaluate`` returns: ``int`` when every term that is not 0
+    at the point has an ``int`` coefficient and ``int`` factors, as at any
+    ``int`` point of an integer polynomial; else ``Fraction``."""
+    for mono, coeff in p.sorted_terms():
+        if any(point[v] == 0 for v, _ in mono):
+            continue
+        if type(coeff) is not int or any(type(point[v]) is not int for v, _ in mono):
+            return F
+    return int
+
+
 def integral_exactly_when_int(p):
     return all(
         type(c) in (int, F) and (type(c) is int) == (F(c).denominator == 1)
@@ -139,11 +151,14 @@ class TestIntegerCore:
             assert integral_exactly_when_int(r)
 
     @settings(max_examples=80, deadline=None)
-    @given(polys(coefficients=RATIONALS), st.lists(RATIONALS, min_size=len(POOL), max_size=len(POOL)))
+    @given(
+        polys(coefficients=RATIONALS),
+        st.lists(st.one_of(st.integers(-5, 5), RATIONALS), min_size=len(POOL), max_size=len(POOL)),
+    )
     def test_evaluate_matches_fraction_reference(self, p, values):
         point = dict(zip(POOL, values))
         value = p.evaluate(point)
-        assert type(value) is F
+        assert type(value) is evaluated_type(p, point)
         assert value == fraction_evaluate(p, point)
 
     def test_evaluate_returns_fraction_at_integer_points(self):
@@ -187,8 +202,14 @@ class TestCommonDenominator:
                 else:
                     point[v] = F(rng.randint(-9, 9) or 1, rng.randint(2, 12))
             value = p.evaluate(point)
-            assert type(value) is F
+            assert type(value) is evaluated_type(p, point)
             assert value == fraction_evaluate(p, point)
+            # with the Fractions rounded to int, an integer polynomial stays int
+            int_p = SparsePolynomial({mono: int(c) for mono, c in p.sorted_terms()})
+            int_point = {v: int(c) for v, c in point.items()}
+            value = int_p.evaluate(int_point)
+            assert type(value) is int
+            assert value == fraction_evaluate(int_p, int_point)
 
     def test_fractions_that_cancel_return_an_integral_fraction(self):
         p = parse_polynomial("x1 + x2 - 2*x1^2")
@@ -203,14 +224,19 @@ class TestCommonDenominator:
         for seed in (1, 2):
             plucker_values, psi = sample_point_on_Vw(w, seed)
             point = point_assignment(5, plucker_values, psi)
-            assert any(type(v) is F for v in point.values())
+            assert all(type(v) is int for v in point.values())
             for p in (*eqs.plucker, *eqs.incidence, *eqs.p_equations.values()):
-                assert p.evaluate(point) == fraction_evaluate(p, point) == 0
-            # off the cell the values are nonzero and still agree
-            point = {v: c + F(1, 7) for v, c in point.items()}
-            values = [p.evaluate(point) for p in eqs.p_equations.values()]
-            assert any(values)
-            assert values == [fraction_evaluate(p, point) for p in eqs.p_equations.values()]
+                value = p.evaluate(point)
+                assert type(value) is int
+                assert value == fraction_evaluate(p, point) == 0
+            # off the cell the values are nonzero and still agree, as int at
+            # an int point and as Fraction at a Fraction point
+            for shift, kind in ((1, int), (F(1, 7), F)):
+                moved = {v: c + shift for v, c in point.items()}
+                values = [p.evaluate(moved) for p in eqs.p_equations.values()]
+                assert any(values)
+                assert {type(v) for v in values} == {kind}
+                assert values == [fraction_evaluate(p, moved) for p in eqs.p_equations.values()]
 
     def test_zero_factor_after_a_fraction_factor(self):
         p = parse_polynomial("x1*x2*t1")

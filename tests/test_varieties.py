@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
 
@@ -11,7 +12,7 @@ from weylpairs.linalg import det
 from weylpairs.pairs import enumerate_pairs
 from weylpairs.poly import LAMBDA, IncompletePointError, SparsePolynomial, t_var, x_var
 from weylpairs.roots import subset_leq
-from weylpairs.serialize import counterexample_dict
+from weylpairs.serialize import counterexample_dict, witness_dict
 from weylpairs.varieties import (
     PreconditionError,
     additional_equation_holds,
@@ -274,24 +275,32 @@ class TestPPolynomialsFastPath:
             ), w.to_string()
 
     def test_integral_point_coordinates_are_int(self):
-        """Every point the checks evaluate at is ``int`` once its psi is
-        scaled, so ``evaluate`` never sees a ``Fraction`` on these paths."""
-        w = P("4231")
-        plucker_values, psi = sample_point_on_Vw(w, 3)
-        point = point_assignment(4, plucker_values, psi)
-        for v, value in point.items():
-            assert type(value) in (int, F)
-            assert (type(value) is int) == (F(value).denominator == 1)
-        assert all(type(point[x_var(tup)]) is int for tup in plucker_values)
-        points = [
-            point_assignment(w.n, *sample_point_on_Vw(w, seed))
-            for w in (P("42351"), P("54321"), P("563421"), P("351624"), P("123456"))
-            for seed in (1, 7)
-        ]
-        witness = additional_equation_scan(P("126453"), P("123546")).witness.point
-        points.append(point_assignment(6, witness.plucker_values, witness.psi))
-        for point in points:
-            assert all(type(value) is int for value in varieties._integral_psi(point).values())
+        """Sampled points and scan witnesses are ``int`` in every coordinate,
+        so ``evaluate`` never sees a ``Fraction`` on these paths; sampled psi
+        is primitive."""
+        rng = random.Random(11)
+        cells = all_perms(4) + rng.sample(all_perms(5), 12) + rng.sample(all_perms(6), 8)
+        for w in cells:
+            for seed in (1, 7):
+                plucker_values, psi = sample_point_on_Vw(w, seed)
+                point = point_assignment(w.n, plucker_values, psi)
+                assert all(type(value) is int for value in point.values()), w.to_string()
+                assert gcd(*(entry for row in psi for entry in row)) == 1, w.to_string()
+        for n, count in ((5, 6), (6, 6)):
+            for w, wp in _seeded_bad_pairs(n, count, seed=n + 1):
+                witness = additional_equation_scan(w, wp).witness
+                if witness is None:
+                    continue
+                point = point_assignment(n, witness.point.plucker_values, witness.point.psi)
+                assert all(type(value) is int for value in point.values())
+        # a Fraction point is still checked exactly: a member scaled by 1/k
+        w = P("563421")
+        eqs = p_polynomials(w)
+        point = point_assignment(6, *sample_point_on_Vw(w, 3))
+        for k in (2, 9):
+            scaled = _scaled_psi(point, F(1, k))
+            assert any(type(value) is F for value in scaled.values())
+            assert all(check_point_families(eqs, scaled).values())
 
 
 def _materialised_p_check(eqs, point):
@@ -618,6 +627,21 @@ def reference_sample(cell_w, diag_pairs, seed):
     return plucker_values, tuple(tuple(row) for row in psi)
 
 
+def primitive(sample):
+    """A Fraction sample in the sampler's form: Pluecker values as ``int``,
+    psi as its positive primitive integer multiple (times the lcm of its
+    denominators, divided by the gcd of the results)."""
+    plucker_values, psi = sample
+    assert all(v.denominator == 1 for v in plucker_values.values())
+    scale = lcm(*(v.denominator for row in psi for v in row))
+    scaled = [[int(v * scale) for v in row] for row in psi]
+    divisor = gcd(*(v for row in scaled for v in row)) or 1
+    return (
+        {rows: int(v) for rows, v in plucker_values.items()},
+        tuple(tuple(v // divisor for v in row) for row in scaled),
+    )
+
+
 def typed(sample):
     """A sample with the type of every number spelled out."""
     plucker_values, psi = sample
@@ -628,12 +652,13 @@ def typed(sample):
 
 
 class TestSamplerAgainstFractionReference:
-    """The integer sampler returns the Fraction reference's values and types."""
+    """The integer sampler returns the primitive integer form of the Fraction
+    reference, in values and types."""
 
     def test_every_s4_cell(self):
         for w in all_perms(4):
             for seed in (0, 42):
-                assert typed(sample_point_on_Vw(w, seed)) == typed(reference_sample(w, (), seed))
+                assert typed(sample_point_on_Vw(w, seed)) == typed(primitive(reference_sample(w, (), seed)))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_seeded_cells(self, n):
@@ -642,13 +667,13 @@ class TestSamplerAgainstFractionReference:
         for w in cells:
             for _ in range(3):
                 seed = rng.randrange(10**6)
-                assert typed(sample_point_on_Vw(w, seed)) == typed(reference_sample(w, (), seed))
+                assert typed(sample_point_on_Vw(w, seed)) == typed(primitive(reference_sample(w, (), seed)))
 
     def test_fiber_pairs(self):
         for w, wp in ((P("4231"), P("1324")), (P("4321"), P("2143"))):
             for seed in range(100, 104):
                 got = sample_point_on_fiber(w, wp, seed)
-                assert typed(got) == typed(reference_sample(wp, fiber_equations(w, wp), seed))
+                assert typed(got) == typed(primitive(reference_sample(wp, fiber_equations(w, wp), seed)))
 
 
 class TestScan:
@@ -703,6 +728,14 @@ class TestWitness:
         assert not flat.ok
         assert flat.checks["separating"] is False
         assert all(v for k, v in flat.checks.items() if k != "separating")
+
+    def test_rational_diagonal_is_kept_and_serialized(self):
+        result = verify_witness(P("4231"), P("1324"), 1, 2, diagonal=(-3, F(1, 2), F(1, 2), -3))
+        assert result.ok
+        assert witness_dict(result)["t"] == ["-3", "1/2", "1/2", "-3"]
+        canonical = witness_dict(verify_witness(P("4231"), P("1324"), 1, 2))
+        assert canonical["t"] == ["0", "1", "1", "0"]
+        assert canonical["plucker_nonzero"] == {"1": "1", "13": "1", "123": "1"}
 
     def test_same_orbit_rejected(self):
         with pytest.raises(ValueError):
