@@ -135,7 +135,7 @@ class SparsePolynomial:
 
     @classmethod
     def variable(cls, v: Variable, exp: int = 1) -> "SparsePolynomial":
-        return cls({((v, exp),): 1})
+        return _raw({((v, exp),): 1}) if exp else cls.constant(1)
 
     # -- ring operations ------------------------------------------------------
     def __add__(self, other) -> "SparsePolynomial":
@@ -209,29 +209,27 @@ class SparsePolynomial:
         return sorted(self._terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
 
     def leading_coefficient(self) -> int | Fraction:
-        terms = self.sorted_terms()
-        return terms[0][1] if terms else 0
+        if not self._terms:
+            return 0
+        return min(self._terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))[1]
+
+    def degrees(self) -> set[int]:
+        """The total degrees of the monomials."""
+        return {sum(e for _, e in mono) for mono in self._terms}
 
     def lambda_degree(self) -> int:
-        deg = 0
-        for mono in self._terms:
-            for v, e in mono:
-                if v == LAMBDA:
-                    deg = max(deg, e)
-        return deg
+        # lambda is the last variable of the order, so the last of a monomial
+        last = [mono[-1] for mono in self._terms if mono]
+        return max((e for v, e in last if v == LAMBDA), default=0)
 
     def lambda_coefficients(self) -> list["SparsePolynomial"]:
         """Split p = sum_s coeff[s] * lambda^s into lambda-free coefficients."""
         buckets: list[dict[tuple, int | Fraction]] = [dict() for _ in range(self.lambda_degree() + 1)]
         for mono, c in self._terms.items():
-            s = 0
-            rest = []
-            for v, e in mono:
-                if v == LAMBDA:
-                    s = e
-                else:
-                    rest.append((v, e))
-            buckets[s][tuple(rest)] = c
+            if mono and mono[-1][0] == LAMBDA:
+                buckets[mono[-1][1]][mono[:-1]] = c
+            else:
+                buckets[0][mono] = c
         return [_raw(b) for b in buckets]
 
     def evaluate(self, point: Mapping[Variable, int | Fraction]) -> int | Fraction:
@@ -306,11 +304,16 @@ def _merge_monomials(m1, m2):
         return m2
     if not m2:
         return m1
-    # disjoint and already in order, as in x_I times a t-monomial
-    if _var_key(m1[-1][0]) < _var_key(m2[0][0]):
+    m1, m2 = (m2, m1) if len(m2) == 1 else (m1, m2)
+    if len(m1) == 1:  # one variable: insert it, as in u * a minor
+        (v, e), key = m1[0], _var_key(m1[0][0])
+        for i in range(len(m2) - 1, -1, -1):  # from the end: minors grow by later rows
+            v2, e2 = m2[i]
+            if v == v2:
+                return m2[:i] + ((v, e + e2),) + m2[i + 1 :]
+            if _var_key(v2) < key:
+                return m2[: i + 1] + m1 + m2[i + 1 :]
         return m1 + m2
-    if _var_key(m2[-1][0]) < _var_key(m1[0][0]):
-        return m2 + m1
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e
@@ -417,5 +420,5 @@ def symbolic_minor(
         if sub.is_zero:
             continue
         sign = (-1) ** ((len(rows) - 1) + pos)
-        total = total + entry * sub * sign
+        total = total + entry * sign * sub
     return total

@@ -18,12 +18,13 @@ scanner enumerates the (q, a, b) configurations, and the verifier checks the
 witness point against every equation family with exact arithmetic.
 
 The lambda^s coefficient of P_{w,i} is P_{w,i,s} = C_{i,s} - e_{d-s}(t_{w(1..d)}) x_i,
-where C_{i,s} is the lambda^s coefficient of the colinearity sum and e the
-elementary symmetric polynomial.  Both factors are independent of w and
+where C_{i,s} = sum_j M_{i,j,s} x_j is the lambda^s coefficient of the
+colinearity sum, M_{i,j,s} that of Delta^j_i(u + lambda id), and e the
+elementary symmetric polynomial.  The M and the e are independent of w and
 cached, so a point is checked against the P-family without building any
-P_{w,i,s}: it must satisfy C_{i,s}(pt) = e_{d-s}(pt) x_i(pt), with each e
-evaluated once per d.  The polynomials themselves are built only on request
-(``EquationSet.p_equations``).
+P_{w,i,s}: it must satisfy sum_j M_{i,j,s}(pt) x_j(pt) = e_{d-s}(pt) x_i(pt),
+summed over the j with x_j(pt) != 0 only, with each e evaluated once per d.
+The polynomials themselves are built only on request (``EquationSet.p_equations``).
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
@@ -91,6 +92,7 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
     """sum_k (-1)^k x_{i_1..i_{d-1} j_k} x'_{j_1..^j_k..j_{d'+1}} over all
     increasing index choices, with signed-variable normalization.
 
+    Built straight into term dicts, normalising i_seq + (j,) once per i_seq.
     Identically-zero relations are dropped and duplicates (up to sign) kept
     once, in first-seen order.
     """
@@ -98,12 +100,20 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
     seen: set[SparsePolynomial] = set()
     universe = range(1, n + 1)
     for i_seq in itertools.combinations(universe, d - 1):
+        signed = {}
+        for j in universe:
+            sign, idx = normalize_plucker_indices(i_seq + (j,))
+            if sign:
+                signed[j] = (sign, x_var(idx))
         for j_seq in itertools.combinations(universe, d_prime + 1):
-            rel = SparsePolynomial.zero()
-            for k, jk in enumerate(j_seq, start=1):
-                rest = j_seq[: k - 1] + j_seq[k:]
-                term = _signed_x(i_seq + (jk,)) * _signed_x(rest)
-                rel = rel + term * ((-1) ** k)
+            terms: dict = {}
+            for k, jk in enumerate(j_seq):
+                if jk not in signed:
+                    continue
+                sign, x = signed[jk]
+                mono = ((x, 1), (x_var(j_seq[:k] + j_seq[k + 1 :]), 1))
+                terms[mono] = sign if k % 2 else -sign
+            rel = SparsePolynomial(terms)
             if rel.is_zero:
                 continue
             rel = _canonical_sign(rel)
@@ -164,44 +174,46 @@ def cell_equations(w: Permutation) -> CellDescription:
 # colinearity polynomials
 # ---------------------------------------------------------------------------
 
-def _colinearity_polynomial(n: int, indices: tuple[int, ...]) -> SparsePolynomial:
-    """sum over j of Delta^j_indices(u + lambda id) x_j; shared across all w."""
+@lru_cache(maxsize=None)
+def _x_vars(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
+    """(J, x_J) for every d-subset J of {1..n}, in combination order."""
+    return tuple((tup, x_var(tup)) for tup in itertools.combinations(range(1, n + 1), d))
+
+
+@lru_cache(maxsize=None)
+def _colinearity_index(n: int, indices: tuple[int, ...]) -> dict:
+    """J -> (M_{I,J,0}, ..., M_{I,J,d-1}) for every J with a nonzero shifted
+    minor Delta^J_I(u + lambda id), M_{I,J,s} being its lambda^s coefficient
+    and d = |I|.  Checked once for all w on the minors, and so on every
+    C_{I,s} = sum_J M_{I,J,s} x_J: the lambda^d coefficient is 1 for J = I and
+    0 otherwise and nothing is higher, so P_{w,I,s} exists for s < d only;
+    every monomial has degree d in (u, t, lambda), so M_{I,J,s} has
+    (u, t)-degree d - s, like e_{d-s}(t), and P_{w,I,s} is homogeneous."""
     d = len(indices)
-    total = SparsePolynomial.zero()
-    for j_seq in itertools.combinations(range(1, n + 1), d):
-        minor = symbolic_minor(n, indices, j_seq, shift_lambda=True)
+    index = {}
+    for tup, _ in _x_vars(n, d):
+        minor = symbolic_minor(n, indices, tup, shift_lambda=True)
         if minor.is_zero:
             continue
-        total = total + minor * SparsePolynomial.variable(x_var(j_seq))
-    return total
+        coeffs = minor.lambda_coefficients()
+        degree, top = len(coeffs) - 1, int(tup == indices)
+        coeffs += [SparsePolynomial.zero()] * (d - degree)
+        if degree > d or coeffs[d] != SparsePolynomial.constant(top) or minor.degrees() != {d}:
+            raise VerificationFailedError(
+                f"the shifted minor of {indices} x {tup} (n = {n}) has lambda degree {degree}, "
+                f"a lambda^{d} coefficient other than {top}, or a monomial of degree != {d}"
+            )
+        index[tup] = tuple(coeffs[:d])
+    return index
 
 
 @lru_cache(maxsize=None)
 def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """The lambda-coefficients C_{I,0}, ..., C_{I,d} of
-    ``_colinearity_polynomial(n, I)``, with d = |I|, checked once for all w:
-
-    * C_{I,d} is exactly x_I and nothing is higher, so lambda^d cancels
-      against the diagonal product and P_{w,I,s} exists for s < d only;
-    * every monomial of C_{I,s} has degree d - s in (u, t), like
-      e_{d-s}(t), so P_{w,I,s} is homogeneous of that degree.
-    """
-    d = len(indices)
-    coeffs = tuple(_colinearity_polynomial(n, indices).lambda_coefficients())
-    if len(coeffs) != d + 1 or coeffs[d] != SparsePolynomial.variable(x_var(indices)):
-        raise VerificationFailedError(
-            f"the colinearity sum of {indices} (n = {n}) has lambda degree "
-            f"{len(coeffs) - 1}, or a lambda^{d} coefficient other than x_I"
-        )
-    for s, coeff in enumerate(coeffs[:d]):
-        for mono, _ in coeff.sorted_terms():
-            degree = sum(e for (kind, _), e in mono if kind in ("u", "t"))
-            if degree != d - s:
-                raise VerificationFailedError(
-                    f"the lambda^{s} coefficient of the colinearity sum of {indices} "
-                    f"(n = {n}) has a monomial of (u, t)-degree {degree} != {d - s}"
-                )
-    return coeffs
+    """C_{I,s} = sum_J M_{I,J,s} x_J for 0 <= s < |I|, built from the index."""
+    index = _colinearity_index(n, indices)
+    terms = [(m, SparsePolynomial.variable(x_var(tup))) for tup, m in index.items()]
+    zero = SparsePolynomial.zero()
+    return tuple(sum((m[s] * x for m, x in terms), zero) for s in range(len(indices)))
 
 
 @lru_cache(maxsize=None)
@@ -223,12 +235,13 @@ def _diagonal_product(w: Permutation, d: int) -> SparsePolynomial:
 
 
 def p_polynomial(w: Permutation, indices: tuple[int, ...]) -> SparsePolynomial:
-    """P_{w,indices}(lambda); vanishes identically on the cell of w."""
-    n = w.n
-    d = len(indices)
-    return _colinearity_polynomial(n, tuple(indices)) - _diagonal_product(w, d) * (
-        SparsePolynomial.variable(x_var(indices))
-    )
+    """P_{w,indices}(lambda): the colinearity sum, sum_s C_{I,s} lambda^s + x_I lambda^d,
+    minus the diagonal product times x_I; vanishes identically on the cell of w."""
+    indices, lam = tuple(indices), SparsePolynomial.variable(LAMBDA)
+    d, x = len(indices), SparsePolynomial.variable(x_var(indices))
+    coeffs = _colinearity_coefficients(w.n, indices)
+    colinear = sum((c * lam**s for s, c in enumerate(coeffs)), x * lam**d)
+    return colinear - _diagonal_product(w, d) * x
 
 
 @dataclass
@@ -422,8 +435,8 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     the values are copied as they are."""
     point = {}
     for d in range(1, n):
-        for tup in itertools.combinations(range(1, n + 1), d):
-            point[x_var(tup)] = plucker_values.get(tup, 0)
+        for tup, x in _x_vars(n, d):
+            point[x] = plucker_values.get(tup, 0)
     for k in range(1, n + 1):
         point[t_var(k)] = psi[k - 1][k - 1]
         for l in range(k + 1, n + 1):
@@ -431,38 +444,40 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     return point
 
 
-def _p_family_holds(eqs: EquationSet, point: dict) -> bool:
-    """Whether every P_{w,I,s} vanishes at the point, tested as
-    C_{I,s}(pt) == e_{d-s}(t_{w(1..d)})(pt) * x_I(pt) from the cached
-    w-independent factors."""
+def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool:
+    """Whether every P_{w,I,s} vanishes at the point, tested from the index as
+    sum_J M_{I,J,s}(pt) x_J(pt) == e_{d-s}(t_{w(1..d)})(pt) x_I(pt) over the J
+    in the support of dimension d, those with x_J != 0: the terms left out
+    are the monomials of C_{I,s} whose first factor is 0, which ``evaluate``
+    skips as well."""
     n = eqs.n
-    for d in range(1, n):
+    for d, support in enumerate(supports, start=1):
         diagonal = [
             e.evaluate(point) for e in _subset_product_coefficients(_prefix_set(eqs.w, d))[:d]
         ]
-        for indices in itertools.combinations(range(1, n + 1), d):
-            colinear = _colinearity_coefficients(n, indices)
-            x = point[x_var(indices)]
+        for indices, _ in _x_vars(n, d):
+            index = _colinearity_index(n, indices)
+            terms = [(index[tup], x_j) for tup, x_j in support.items() if tup in index]
+            x_i = support.get(indices, 0)
             for s in range(d):
-                if colinear[s].evaluate(point) != diagonal[s] * x:
+                if sum(m[s].evaluate(point) * x_j for m, x_j in terms) != diagonal[s] * x_i:
                     return False
     return True
 
 
 def check_point_families(eqs: EquationSet, point: dict) -> dict[str, bool]:
     """Evaluate every equation family of a cell at a point, exactly."""
-    cell_ok = True
-    for d_idx, lead in enumerate(eqs.cell.nonvanishing):
-        if point[x_var(lead)] == 0:
-            cell_ok = False
-        for tup in eqs.cell.vanishing[d_idx]:
-            if point[x_var(tup)] != 0:
-                cell_ok = False
+    n = eqs.n
+    supports = [{tup: point[x] for tup, x in _x_vars(n, d) if point[x]} for d in range(1, n)]
+    cell_ok = all(
+        lead in support and support.keys().isdisjoint(vanishing)
+        for lead, vanishing, support in zip(eqs.cell.nonvanishing, eqs.cell.vanishing, supports)
+    )
     return {
         "plucker": all(rel.evaluate(point) == 0 for rel in eqs.plucker),
         "incidence": all(rel.evaluate(point) == 0 for rel in eqs.incidence),
         "cell": cell_ok,
-        "p_equations": _p_family_holds(eqs, point),
+        "p_equations": _p_family_holds(eqs, point, supports),
     }
 
 
@@ -622,11 +637,8 @@ def verify_witness(
     check_size("equation generation", n)
     _check_ab(n, a, b)
     t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
-    plucker_values = {}
-    for d in range(1, n):
-        lead = _prefix_set(w_prime, d)
-        for tup in itertools.combinations(range(1, n + 1), d):
-            plucker_values[tup] = int(tup == lead)
+    leads = {_prefix_set(w_prime, d) for d in range(1, n)}
+    plucker_values = {tup: int(tup in leads) for d in range(1, n) for tup, _ in _x_vars(n, d)}
     psi = tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
     point = point_assignment(n, plucker_values, psi)
     eqs = p_polynomials(w_prime)
@@ -656,10 +668,7 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 
 def _product_value(point: dict, indices):
-    sign, sorted_idx = normalize_plucker_indices(indices)
-    if sign == 0:
-        return 0
-    return sign * point[x_var(sorted_idx)]
+    return _signed_x(indices).evaluate(point)
 
 
 def _incidence_hypotheses(w: Permutation, q: int, b: int, j_set) -> tuple[int, ...]:

@@ -10,7 +10,14 @@ import pytest
 from weylpairs import varieties
 from weylpairs.linalg import det
 from weylpairs.pairs import enumerate_pairs
-from weylpairs.poly import LAMBDA, IncompletePointError, SparsePolynomial, t_var, x_var
+from weylpairs.poly import (
+    LAMBDA,
+    IncompletePointError,
+    SparsePolynomial,
+    normalize_plucker_indices,
+    t_var,
+    x_var,
+)
 from weylpairs.roots import subset_leq
 from weylpairs.serialize import counterexample_dict, witness_dict
 from weylpairs.varieties import (
@@ -428,25 +435,131 @@ class TestFactoredPCheck:
     @pytest.mark.parametrize("doctor", ["extra-lambda", "scaled-top", "inhomogeneous"])
     def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
         n, indices = 4, (1, 3)
-        x = SparsePolynomial.variable(x_var(indices))
         lam = SparsePolynomial.variable(LAMBDA)
-        extra = {
-            "extra-lambda": x * lam**3,
-            "scaled-top": x * lam**2,
+        # the shifted minor of indices x J, doctored by ``extra``
+        J, extra = {
+            "extra-lambda": (indices, lam**3),
+            "scaled-top": (indices, lam**2),
             # (u, t)-degree 1 in the lambda^0 coefficient, which needs d - 0 = 2
-            "inhomogeneous": SparsePolynomial.variable(x_var((2, 3))) * SparsePolynomial.variable(t_var(1)),
+            "inhomogeneous": ((2, 3), SparsePolynomial.variable(t_var(1))),
         }[doctor]
-        doctored = varieties._colinearity_polynomial(n, indices) + extra
-        monkeypatch.setattr(varieties, "_colinearity_polynomial", lambda n_, idx: doctored)
+        minor = varieties.symbolic_minor
+
+        def doctored(n_, rows, cols, shift_lambda=False):
+            out = minor(n_, rows, cols, shift_lambda)
+            return out + extra if (rows, cols, shift_lambda) == (indices, J, True) else out
+
+        monkeypatch.setattr(varieties, "symbolic_minor", doctored)
         with pytest.raises(varieties.VerificationFailedError):
-            varieties._colinearity_coefficients.__wrapped__(n, indices)
+            varieties._colinearity_index.__wrapped__(n, indices)
 
     def test_undoctored_coefficients_pass_the_check(self):
         for n in (4, 5, 6):
             for d in range(1, n):
                 for indices in itertools.combinations(range(1, n + 1), d):
-                    coeffs = varieties._colinearity_coefficients.__wrapped__(n, indices)
-                    assert coeffs == varieties._colinearity_coefficients(n, indices)
+                    index = varieties._colinearity_index.__wrapped__(n, indices)
+                    assert index == varieties._colinearity_index(n, indices)
+                    assert all(len(minors) == d for minors in index.values())
+
+
+class TestIndexedPCheck:
+    """The P-check sums M_{I,J,s}(pt) x_J over the point's x-support only; it
+    must equal evaluating the materialised p_equations at every point, member
+    or not."""
+
+    @staticmethod
+    def non_members(point):
+        """Copies of the point with one u or t coordinate raised by 1."""
+        for v in sorted(point):
+            if v[0] in ("u", "t"):
+                yield {**point, v: point[v] + 1}
+
+    def check(self, eqs, point):
+        expected = _materialised_p_check(eqs, point)
+        assert _factored_p_check(eqs, point) is expected
+        return expected
+
+    @pytest.mark.parametrize(
+        "n, cells", [(5, TestFactoredPCheck.S5_CELLS), (6, TestFactoredPCheck.S6_CELLS[:4])],
+        ids=["S5", "S6"],
+    )
+    def test_dense_samples_and_raised_copies(self, n, cells):
+        outcomes = []
+        for cell in cells:
+            w = P(cell)
+            eqs = p_polynomials(w)
+            point = point_assignment(n, *sample_point_on_Vw(w, 17))
+            assert self.check(eqs, point) is True
+            outcomes += [self.check(eqs, moved) for moved in self.non_members(point)]
+        assert outcomes.count(False) > len(outcomes) // 2
+
+    @pytest.mark.parametrize("n, count", [(5, 8), (6, 4)], ids=["S5", "S6"])
+    def test_witnesses_and_raised_copies(self, n, count):
+        outcomes = []
+        for w, wp in _seeded_bad_pairs(n, count, seed=n + 20):
+            witness = additional_equation_scan(w, wp).witness
+            if witness is None:
+                continue
+            point = point_assignment(n, witness.point.plucker_values, witness.point.psi)
+            eqs = p_polynomials(wp)
+            assert self.check(eqs, point) is True
+            outcomes += [self.check(eqs, moved) for moved in self.non_members(point)]
+        assert False in outcomes
+
+    def test_cell_check_on_the_support(self):
+        w = P("42513")
+        eqs = p_polynomials(w)
+        point = point_assignment(5, *sample_point_on_Vw(w, 2))
+        assert check_point_families(eqs, point)["cell"] is True
+        for lead, vanishing in zip(eqs.cell.nonvanishing, eqs.cell.vanishing):
+            assert check_point_families(eqs, {**point, x_var(lead): 0})["cell"] is False
+            for tup in vanishing:
+                assert check_point_families(eqs, {**point, x_var(tup): 1})["cell"] is False
+
+    @pytest.mark.exhaustive
+    def test_every_s6_cell(self):
+        for w in all_perms(6):
+            eqs = p_polynomials(w)
+            point = point_assignment(6, *sample_point_on_Vw(w, 1))
+            assert self.check(eqs, point) is True, w.to_string()
+            self.check(eqs, {**point, t_var(w(1)): point[t_var(w(1))] + 1})
+
+
+def _exchange_reference(n, d, d_prime):
+    """Reference for _exchange_relations by polynomial arithmetic: signed
+    variables multiplied and summed as SparsePolynomials."""
+
+    def signed_x(indices):
+        sign, sorted_idx = normalize_plucker_indices(indices)
+        if sign == 0:
+            return SparsePolynomial.zero()
+        return SparsePolynomial.variable(x_var(sorted_idx)) * sign
+
+    out, seen = [], set()
+    universe = range(1, n + 1)
+    for i_seq in itertools.combinations(universe, d - 1):
+        for j_seq in itertools.combinations(universe, d_prime + 1):
+            rel = SparsePolynomial.zero()
+            for k, jk in enumerate(j_seq, start=1):
+                rest = j_seq[: k - 1] + j_seq[k:]
+                rel = rel + signed_x(i_seq + (jk,)) * signed_x(rest) * ((-1) ** k)
+            if rel.is_zero:
+                continue
+            rel = -rel if rel.sorted_terms()[0][1] < 0 else rel
+            if rel not in seen:
+                seen.add(rel)
+                out.append(rel)
+    return tuple(out)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6])
+def test_exchange_relations_match_polynomial_arithmetic(n):
+    for d in range(1, n):
+        for d_prime in range(d, n):
+            direct = varieties._exchange_relations(n, d, d_prime)
+            reference = _exchange_reference(n, d, d_prime)
+            assert direct == reference, (n, d, d_prime)
+            assert [p.canonical_str() for p in direct] == [p.canonical_str() for p in reference]
 
 
 def _coefficient_of_x(poly, indices):
