@@ -36,6 +36,7 @@ from .varieties import (
     p_polynomials,
     plucker_relations,
     sample_point_on_Vw,
+    separated_hits,
     simplified_incidence_check,
     verify_witness,
 )

@@ -257,10 +257,9 @@ def is_good_parabolic(group, w1, w2) -> PairVerdict:
 def is_good_orbitwise(w1: Permutation, w2: Permutation) -> PairVerdict:
     """Good iff w1[i,j]_orbit <= w2[i,j]_orbit for every orbit of w1 w2^{-1}
     and every box (i, j)."""
-    t1, t2 = w1.one_line, w2.one_line
-    if not _tuples_leq(t1, t2):
+    if not w1.bruhat_leq(w2):
         return _incomparable(w1, w2, "orbitwise")
-    return orbitwise_verdict(w1, w2, _box_violation(t1, t2))
+    return orbitwise_verdict(w1, w2, _box_violation(w1.one_line, w2.one_line))
 
 
 def orbitwise_verdict(w1, w2, violation) -> PairVerdict:
@@ -287,9 +286,9 @@ def flatten_tuple(t, positions) -> tuple[int, ...]:
 def is_good_flattening(w1: Permutation, w2: Permutation) -> PairVerdict:
     """Good iff flattening w1 and w2 along every orbit of w1^{-1} w2 (a set of
     positions) preserves Bruhat comparability."""
-    t1, t2 = w1.one_line, w2.one_line
-    if not _tuples_leq(t1, t2):
+    if not w1.bruhat_leq(w2):
         return _incomparable(w1, w2, "flattening")
+    t1, t2 = w1.one_line, w2.one_line
     for orbit in (w1.inverse() * w2).orbits():
         if len(orbit) < 2:
             continue

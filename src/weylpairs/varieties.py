@@ -295,6 +295,8 @@ def fiber_equations(w: Permutation, w_prime: Permutation) -> tuple[tuple[int, in
 
     These cut out exactly the fixed space of w w'^{-1} permuting coordinates.
     """
+    if w.n != w_prime.n:
+        raise ValueError("fiber equations of permutations of different ranks")
     pairs = []
     for k in range(1, w.n):
         a, b = w_prime(k), w(k)
@@ -528,48 +530,40 @@ class CounterexampleReport:
     witness: Optional[WitnessVerification] = None
 
 
-def _hit_conditions(w_set: set, wp_set: set, a: int, b: int) -> tuple[bool, bool]:
-    """The shared bullets plus the main / remark third bullet."""
-    shared = (
-        a not in w_set and a in wp_set and b in w_set and b not in wp_set
-    )
-    if not shared:
-        return False, False
-    main = all(i in w_set for i in wp_set if i != a and i < b)
-    remark = all(j in wp_set for j in w_set if j != b and j > a)
-    return main, remark
+def separated_hits(w: Permutation, w_prime: Permutation) -> tuple[Hit, ...]:
+    """The (q, a, b) configurations whose extra diagonal equation t_a = t_b
+    genuinely separates the closure from the fiber, in (q, a, b, variant)
+    order.
+
+    For 1 <= q <= n - 2 let W = w({1..q+1}) and W' = w'({1..q+1}).  The shared
+    bullets ask for a in W' \\ W, b in W \\ W' and a < b.  The "main" variant
+    also asks that every i != a of W' below b lie in W; the "remark" variant,
+    that every j != b of W above a lie in W'.  Configurations with a, b in a
+    common orbit of w w'^{-1} satisfy the same bullets but only reprove an
+    identification the fiber already carries, so they are not hits.
+    """
+    orbits = (w * w_prime.inverse()).orbits()
+    hits: list[Hit] = []
+    for q in range(1, w.n - 1):
+        w_set = set(w.one_line[: q + 1])
+        wp_set = set(w_prime.one_line[: q + 1])
+        for a in sorted(wp_set - w_set):
+            orbit_a = next(o for o in orbits if a in o)
+            for b in sorted(w_set - wp_set):
+                if b < a or b in orbit_a:
+                    continue
+                if all(i in w_set for i in wp_set if i != a and i < b):
+                    hits.append(Hit(q, a, b, "main"))
+                if all(j in wp_set for j in w_set if j != b and j > a):
+                    hits.append(Hit(q, a, b, "remark"))
+    return tuple(hits)
 
 
 def additional_equation_scan(w: Permutation, w_prime: Permutation) -> CounterexampleReport:
-    """Enumerate the (q, a, b) configurations whose extra diagonal equation
-    t_a = t_b genuinely separates the closure from the fiber, and verify a
-    witness point on the first one.
-
-    Configurations with a, b in a common orbit of w w'^{-1} satisfy the same
-    combinatorial bullets but only reprove an identification the fiber
-    already carries, so they are not counted as hits.
-    """
-    n = w.n
-    check_size("equation generation", n)
-    sigma = w * w_prime.inverse()
-    orbit_of = {}
-    for orbit in sigma.orbits():
-        for v in orbit:
-            orbit_of[v] = orbit
-    hits: list[Hit] = []
-    for q in range(1, n - 1):
-        w_set = {w(k) for k in range(1, q + 2)}
-        wp_set = {w_prime(k) for k in range(1, q + 2)}
-        for a in range(1, n + 1):
-            for b in range(a + 1, n + 1):
-                if orbit_of[a] == orbit_of[b]:
-                    continue
-                main, remark = _hit_conditions(w_set, wp_set, a, b)
-                if main:
-                    hits.append(Hit(q, a, b, "main"))
-                if remark:
-                    hits.append(Hit(q, a, b, "remark"))
-    hits.sort(key=lambda h: (h.q, h.a, h.b, h.variant))
+    """The separated hits of (w, w'), with a witness point verified on the
+    first one."""
+    check_size("equation generation", w.n)
+    hits = separated_hits(w, w_prime)
     witness = None
     if hits:
         witness = verify_witness(w, w_prime, hits[0].a, hits[0].b)
@@ -580,7 +574,7 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
     return CounterexampleReport(
         w=w,
         w_prime=w_prime,
-        hits=tuple(hits),
+        hits=hits,
         status="refuted" if hits else "unknown",
         witness=witness,
     )

@@ -146,6 +146,8 @@ class Permutation:
 
     def __mul__(self, other: "Permutation") -> "Permutation":
         mine, theirs = self.one_line, other.one_line
+        if len(mine) != len(theirs):
+            raise ValueError("product of permutations of different ranks")
         return Permutation(mine[theirs[i] - 1] for i in range(len(mine)))
 
     def inverse(self) -> "Permutation":
@@ -185,6 +187,39 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({list(self.one_line)})"
+
+
+# Methods both backends share, written once on top of each backend's
+# reflection, right_descends and _right_mul_simple.  Each class body assigns
+# them rather than inheriting them, so they stay in the class's own __dict__,
+# where bench/tracing.py looks for the methods it wraps.
+
+def _reflections(group) -> list:
+    return [(key, group.reflection(key)) for key in group.positive_keys]
+
+
+def _parabolic_decompose(group, w, J) -> tuple:
+    """w = w^J * w_J with w^J of minimal length in w W_J; length-additive."""
+    j_list = sorted(set(J))
+    cur = w
+    word: list[int] = []
+    while True:
+        for j in j_list:
+            if group.right_descends(cur, j):
+                cur = group._right_mul_simple(cur, j)
+                word.append(j)
+                break
+        else:
+            break
+    wj = group.identity
+    for j in reversed(word):
+        wj = group._right_mul_simple(wj, j)
+    return cur, wj
+
+
+def _in_parabolic(group, w, J) -> bool:
+    coset_min, _ = group.parabolic_decompose(w, J)
+    return coset_min == group.identity
 
 
 class SymmetricGroup:
@@ -231,8 +266,7 @@ class SymmetricGroup:
         i, j = key
         return Permutation.transposition(self.n, i, j)
 
-    def reflections(self) -> list[tuple[tuple[int, int], Permutation]]:
-        return [(key, self.reflection(key)) for key in self.positive_keys]
+    reflections = _reflections
 
     def simple_root_key(self, j: int) -> tuple[int, int]:
         return (j, j + 1)
@@ -272,27 +306,8 @@ class SymmetricGroup:
         v[j - 1], v[j] = v[j], v[j - 1]
         return Permutation(v)
 
-    def parabolic_decompose(self, w: Permutation, J) -> tuple[Permutation, Permutation]:
-        """w = w^J * w_J with w^J of minimal length in w W_J; length-additive."""
-        j_list = sorted(set(J))
-        cur = w
-        word: list[int] = []
-        while True:
-            for j in j_list:
-                if self.right_descends(cur, j):
-                    cur = self._right_mul_simple(cur, j)
-                    word.append(j)
-                    break
-            else:
-                break
-        wj = self.identity
-        for j in reversed(word):
-            wj = self._right_mul_simple(wj, j)
-        return cur, wj
-
-    def in_parabolic(self, w: Permutation, J) -> bool:
-        coset_min, _ = self.parabolic_decompose(w, J)
-        return coset_min == self.identity
+    parabolic_decompose = _parabolic_decompose
+    in_parabolic = _in_parabolic
 
     # -- linear action (for minimal generating subsystems) -------------------
     def action_span_vectors(self, w: Permutation) -> list[Vector]:
@@ -445,8 +460,7 @@ class ReflectionGroup:
                 self._reflection_of_key[p] = self.index[arr]
         return self._reflection_of_key[key]
 
-    def reflections(self) -> list[tuple[int, int]]:
-        return [(key, self.reflection(key)) for key in self.positive_keys]
+    reflections = _reflections
 
     def simple_root_key(self, j: int) -> int:
         return self._simple_root_key[j]
@@ -503,26 +517,11 @@ class ReflectionGroup:
     def right_descends(self, w: int, j: int) -> bool:
         return self.lengths[self.rmul[j - 1][w]] < self.lengths[w]
 
-    def parabolic_decompose(self, w: int, J) -> tuple[int, int]:
-        j_list = sorted(set(J))
-        cur = w
-        word: list[int] = []
-        while True:
-            for j in j_list:
-                if self.right_descends(cur, j):
-                    cur = self.rmul[j - 1][cur]
-                    word.append(j)
-                    break
-            else:
-                break
-        wj = 0
-        for j in reversed(word):
-            wj = self.rmul[j - 1][wj]
-        return cur, wj
+    def _right_mul_simple(self, w: int, j: int) -> int:
+        return self.rmul[j - 1][w]
 
-    def in_parabolic(self, w: int, J) -> bool:
-        coset_min, _ = self.parabolic_decompose(w, J)
-        return coset_min == 0
+    parabolic_decompose = _parabolic_decompose
+    in_parabolic = _in_parabolic
 
 
 def _expand_in_basis(basis: tuple[Vector, ...], v: Vector) -> tuple[Fraction, ...]:
