@@ -24,7 +24,7 @@ from .patterns import (
     verify_pattern_theorem,
 )
 from .poly import SparsePolynomial, parse_polynomial, symbolic_minor
-from .roots import RootSystem, build_from_cartan, build_type_A, reflect, subset_leq
+from .roots import RootSystem, build_from_cartan, build_type_A, subset_leq
 from .varieties import (
     CellDescription,
     CounterexampleReport,

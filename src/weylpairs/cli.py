@@ -99,6 +99,8 @@ def _output(path):
 # ---------------------------------------------------------------------------
 
 def cmd_pair_classify(args) -> int:
+    if args.n < 2:
+        raise ValueError(f"pair classification needs n >= 2, got n = {args.n}")
     w1 = _perm(args.w1, args.n)
     w2 = _perm(args.w2, args.n)
     names = tuple(CRITERIA) if args.criteria == "all" else (args.criteria,)

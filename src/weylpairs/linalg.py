@@ -10,8 +10,7 @@ scaled by the lcm of its denominators, and the Bareiss step
 applied to every row i other than the pivot row r keeps each entry an
 integer (a minor of the scaled matrix) and leaves every pivot equal to one
 integer D.  A ``Fraction`` is created only for a rational result, by one
-division by D at the end.  ``det`` and ``mat_mul`` work on ``Fraction``
-entries directly.  Nothing here ever touches floating point.
+division by D at the end.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -22,17 +21,6 @@ from typing import Sequence
 
 Vector = tuple[Fraction, ...]
 Matrix = Sequence[Sequence[Fraction]]
-
-
-def vector(coords) -> Vector:
-    """Coerce an iterable of numbers to an exact rational vector."""
-    return tuple(Fraction(c) for c in coords)
-
-
-def dot(x: Vector, y: Vector) -> Fraction:
-    if len(x) != len(y):
-        raise ValueError(f"dimension mismatch: {len(x)} vs {len(y)}")
-    return sum((a * b for a, b in zip(x, y)), Fraction(0))
 
 
 def is_zero_vector(x: Vector) -> bool:
@@ -171,39 +159,6 @@ def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:
     return picked
 
 
-def det(m: Matrix) -> Fraction:
-    """Exact determinant (square matrices)."""
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("determinant of a non-square matrix")
-    if n == 0:
-        return Fraction(1)
-    rows = [[Fraction(x) for x in row] for row in m]
-    sign = 1
-    prev = Fraction(1)
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c, n):
-                rows[i][j] = (rows[i][j] * p - f * rows[c][j]) / prev
-        prev = p
-    return sign * rows[n - 1][n - 1]
-
-
-def mat_mul(a: Matrix, b: Matrix) -> list[list[Fraction]]:
-    if a and b and len(a[0]) != len(b):
-        raise ValueError("incompatible shapes")
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
-
-
 def scaled_inverse(m: Matrix) -> tuple[list[list[int]], int]:
     """Integer matrix A and integer D with m^{-1} = A / D.
 
@@ -221,9 +176,3 @@ def scaled_inverse(m: Matrix) -> tuple[list[list[int]], int]:
     if pivots[:n] != list(range(n)):
         raise ValueError("matrix is singular")
     return [row[n:] for row in aug], d
-
-
-def mat_inverse(m: Matrix) -> list[list[Fraction]]:
-    """Exact inverse via fraction-free Gauss-Jordan on an augmented matrix."""
-    a, d = scaled_inverse(m)
-    return [[Fraction(x, d) for x in row] for row in a]

@@ -21,11 +21,10 @@ class MinGenSubsystem:
 
     e_w_basis: tuple[Vector, ...]
     phi_w: tuple[Vector, ...]
-    d_w: int
 
-    def __post_init__(self):
-        if self.d_w != len(self.e_w_basis):
-            raise ValueError("d_w must equal the size of the E_w basis")
+    @property
+    def d_w(self) -> int:
+        return len(self.e_w_basis)
 
 
 def min_gen_subsystem(group, w) -> MinGenSubsystem:
@@ -38,9 +37,7 @@ def min_gen_subsystem(group, w) -> MinGenSubsystem:
         v = group.root_vector(p)
         phi.append(v)
         phi.append(tuple(-c for c in v))
-    return MinGenSubsystem(
-        e_w_basis=tuple(basis), phi_w=tuple(sorted(phi)), d_w=len(basis)
-    )
+    return MinGenSubsystem(e_w_basis=tuple(basis), phi_w=tuple(sorted(phi)))
 
 
 def min_gen_type_A_orbits(w: Permutation):

@@ -236,11 +236,6 @@ def build_from_cartan(cartan: Sequence[Sequence[int]], name: str = "") -> RootSy
     )
 
 
-def reflect(system: RootSystem, alpha: Vector, x: Vector) -> Vector:
-    """Module-level alias for :meth:`RootSystem.reflect`."""
-    return system.reflect(tuple(alpha), tuple(x))
-
-
 def subset_leq(a: Iterable[int], b: Iterable[int]) -> bool:
     """Componentwise order on equal-size index subsets of {1..n}.
 

@@ -147,7 +147,6 @@ class CellDescription:
     """Per dimension d: the unique nonvanishing coordinate {w(1)..w(d)} and
     the coordinates forced to vanish (those not below it)."""
 
-    w: Permutation
     nonvanishing: tuple[tuple[int, ...], ...]
     vanishing: tuple[tuple[tuple[int, ...], ...], ...]
 
@@ -167,7 +166,7 @@ def cell_equations(w: Permutation) -> CellDescription:
                 if not subset_leq(tup, lead)
             )
         )
-    return CellDescription(w, tuple(nonvan), tuple(vanishing))
+    return CellDescription(tuple(nonvan), tuple(vanishing))
 
 
 # ---------------------------------------------------------------------------
@@ -208,15 +207,6 @@ def _colinearity_index(n: int, indices: tuple[int, ...]) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _colinearity_coefficients(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """C_{I,s} = sum_J M_{I,J,s} x_J for 0 <= s < |I|, built from the index."""
-    index = _colinearity_index(n, indices)
-    terms = [(m, SparsePolynomial.variable(x_var(tup))) for tup, m in index.items()]
-    zero = SparsePolynomial.zero()
-    return tuple(sum((m[s] * x for m, x in terms), zero) for s in range(len(indices)))
-
-
-@lru_cache(maxsize=None)
 def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
     """The lambda-coefficients of prod_{m in subset} (t_m + lambda): entry s
     is the elementary symmetric polynomial e_{|subset|-s} of those t_m."""
@@ -234,16 +224,6 @@ def _diagonal_product(w: Permutation, d: int) -> SparsePolynomial:
     return sum((c * lam**s for s, c in enumerate(coeffs)), SparsePolynomial.zero())
 
 
-def p_polynomial(w: Permutation, indices: tuple[int, ...]) -> SparsePolynomial:
-    """P_{w,indices}(lambda): the colinearity sum, sum_s C_{I,s} lambda^s + x_I lambda^d,
-    minus the diagonal product times x_I; vanishes identically on the cell of w."""
-    indices, lam = tuple(indices), SparsePolynomial.variable(LAMBDA)
-    d, x = len(indices), SparsePolynomial.variable(x_var(indices))
-    coeffs = _colinearity_coefficients(w.n, indices)
-    colinear = sum((c * lam**s for s, c in enumerate(coeffs)), x * lam**d)
-    return colinear - _diagonal_product(w, d) * x
-
-
 @dataclass
 class EquationSet:
     """All equation families attached to the cell of one permutation."""
@@ -259,18 +239,21 @@ class EquationSet:
         """(d, index tuple, s) -> the lambda-free P_{w,indices,s}, for every
         1 <= d <= n-1 and 0 <= s <= d-1, built on first access.
 
-        P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, where
-        C_{I,s} is the lambda^s coefficient of the colinearity sum.
+        P_{w,I,s} = sum_J M_{I,J,s} x_J - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I,
+        the M from ``_colinearity_index`` and the e from the diagonal product.
         """
         n, w = self.n, self.w
         p_eqs = {}
         for d in range(1, n):
             diagonal = _subset_product_coefficients(_prefix_set(w, d))
-            for indices in itertools.combinations(range(1, n + 1), d):
-                colinear = _colinearity_coefficients(n, indices)
-                x = SparsePolynomial.variable(x_var(indices))
+            x_vars = [(tup, SparsePolynomial.variable(x)) for tup, x in _x_vars(n, d)]
+            for indices, x_i in x_vars:
+                index = _colinearity_index(n, indices)
+                terms = [(index[tup], x_j) for tup, x_j in x_vars if tup in index]
                 for s in range(d):
-                    p_eqs[(d, indices, s)] = colinear[s] - diagonal[s] * x
+                    p_eqs[(d, indices, s)] = sum(
+                        (m[s] * x_j for m, x_j in terms), -diagonal[s] * x_i
+                    )
         return p_eqs
 
 
@@ -698,8 +681,9 @@ def simplified_incidence_check(
     where I = w({1..q+1}) minus b.  Returns (holds, sign); the sign is the
     consistent choice, or None when every sample left both signs feasible.
     """
+    if samples < 1:  # checked at no point, the identity would hold vacuously
+        raise ValueError(f"samples must be at least 1, got {samples}")
     j_tuple = _incidence_hypotheses(w, q, b, j_set)
-    n = w.n
     i_tuple = tuple(sorted(v for v in (w(k) for k in range(1, q + 2)) if v != b))
     feasible = {1, -1}
     decided = False
@@ -734,6 +718,8 @@ def additional_equation_holds(
 
     with empirical per-term signs e_K; requires {J, a} <= {I, b}.
     """
+    if samples < 1:  # checked at no point, the identity would hold vacuously
+        raise ValueError(f"samples must be at least 1, got {samples}")
     j_tuple = _incidence_hypotheses(w, q, b, j_set)
     n = w.n
     if a in j_tuple:

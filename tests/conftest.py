@@ -7,7 +7,57 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
+from weylpairs.poly import LAMBDA, SparsePolynomial, symbolic_minor, t_var, x_var  # noqa: E402
 from weylpairs.weyl import Permutation, reflection_group, symmetric_group  # noqa: E402
+
+
+def vector(coords):
+    """An exact rational vector: a tuple of ``Fraction``."""
+    return tuple(Fraction(c) for c in coords)
+
+
+def fraction_mat_mul(a, b):
+    bt = list(zip(*b))
+    return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
+
+
+def fraction_det(m):
+    """Determinant of a nonempty square matrix by Fraction Bareiss
+    elimination below the diagonal, with row swaps for zero pivots."""
+    n = len(m)
+    rows = [[Fraction(x) for x in row] for row in m]
+    sign, prev = 1, Fraction(1)
+    for c in range(n - 1):
+        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != c:
+            rows[c], rows[piv] = rows[piv], rows[c]
+            sign = -sign
+        p = rows[c][c]
+        for i in range(c + 1, n):
+            f = rows[i][c]
+            for j in range(c, n):
+                rows[i][j] = (rows[i][j] * p - f * rows[c][j]) / prev
+        prev = p
+    return sign * rows[n - 1][n - 1]
+
+
+def reference_p_polynomial(w, indices):
+    """P_{w,I}(lambda) from its definition: the sum over every d-subset J of
+    the shifted minor Delta^J_I(u + lambda id) times x_J, minus
+    prod_{k <= d} (t_{w(k)} + lambda) times x_I, with d = |I|."""
+    n, d = w.n, len(indices)
+    lam = SparsePolynomial.variable(LAMBDA)
+    colinear = SparsePolynomial.zero()
+    for tup in itertools.combinations(range(1, n + 1), d):
+        minor = symbolic_minor(n, indices, tup, shift_lambda=True)
+        colinear = colinear + minor * SparsePolynomial.variable(x_var(tup))
+    diagonal = SparsePolynomial.constant(1)
+    for k in range(1, d + 1):
+        diagonal = diagonal * (SparsePolynomial.variable(t_var(w(k))) + lam)
+    return colinear - diagonal * SparsePolynomial.variable(x_var(indices))
 
 
 def reference_kernel(m, ncols):
@@ -94,3 +144,15 @@ def bruhat_closure_oracle(group):
             frontier = nxt
         below[u] = reach
     return below
+
+
+@pytest.fixture(scope="session")
+def s7_bad_sweep():
+    """One sweep of S7 for every exhaustive S7 test: the enumeration summary
+    and the bad pairs as (w, w') = (w2, w1) of each bad verdict (w1, w2), in
+    stream order."""
+    summary = EnumerationSummary(7)
+    pairs = [
+        (v.w2, v.w1) for v in enumerate_pairs(7, "bad", allow_large=True, summary=summary)
+    ]
+    return summary, pairs

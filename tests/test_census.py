@@ -11,9 +11,9 @@ import pytest
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs
 
 
-def census(n, allow_large=False):
+def census(n):
     summary = EnumerationSummary(n)
-    for _ in enumerate_pairs(n, "bad", allow_large=allow_large, summary=summary):
+    for _ in enumerate_pairs(n, "bad", summary=summary):
         pass
     return summary.total_comparable, summary.bad_count
 
@@ -30,5 +30,7 @@ def test_s6_census_is_stable():
 
 
 @pytest.mark.exhaustive
-def test_s7_census_matches_readme():
-    assert census(7, allow_large=True) == (3550919, 236481)
+def test_s7_census_matches_readme(s7_bad_sweep):
+    summary, pairs = s7_bad_sweep
+    assert (summary.total_comparable, summary.bad_count) == (3550919, 236481)
+    assert len(pairs) == 236481

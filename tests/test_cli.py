@@ -431,6 +431,8 @@ class TestInputContract:
             ["sample", "check", "--n", "1", "--w", "1"],
             ["patterns", "query", "--w", ""],
             ["patterns", "query", "--w", " "],
+            ["pair", "classify", "--n", "1", "--w1", "1", "--w2", "1", "--criteria", "orbit"],
+            ["pair", "classify", "--n", "1", "--w1", "1", "--w2", "1", "--criteria", "flatten"],
         ],
         ids=[
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
@@ -440,7 +442,7 @@ class TestInputContract:
             "witness-a-zero", "jobs-0", "jobs-negative", "scan-n7-pair",
             "enumerate-n7-no-flag", "enumerate-n8", "enumerate-n1", "verify-n7-no-flag",
             "verify-n8", "sample-n7", "emit-n7", "witness-n7", "sample-n1",
-            "query-empty", "query-blank",
+            "query-empty", "query-blank", "classify-n1-orbit", "classify-n1-flatten",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):

@@ -210,9 +210,13 @@ class TestBadPartnerCounts:
         assert (len(sides["left"]), len(sides["right"])) == (count, count)
 
     @pytest.mark.exhaustive
-    def test_s7_matches_readme(self):
-        sides = bad_partner_sides(7, allow_large=True)
-        assert (len(sides["left"]), len(sides["right"])) == (2697, 2697)
+    def test_s7_matches_readme(self, s7_bad_sweep):
+        # bad_partner_sides keeps "left" = the w2 and "right" = the w1 of the
+        # bad pairs (w1, w2); the sweep holds each as (w, w') = (w2, w1)
+        _, pairs = s7_bad_sweep
+        left = {w for w, _ in pairs}
+        right = {w_prime for _, w_prime in pairs}
+        assert (len(left), len(right)) == (2697, 2697)
 
 
 class TestSchubertSingularity:

@@ -8,7 +8,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from weylpairs.linalg import det
 from weylpairs.poly import (
     LAMBDA,
     IncompletePointError,
@@ -23,6 +22,8 @@ from weylpairs.poly import (
 )
 from weylpairs.varieties import p_polynomials, point_assignment, sample_point_on_Vw
 from weylpairs.weyl import Permutation
+
+from conftest import fraction_det
 
 F = Fraction
 
@@ -313,7 +314,7 @@ class TestSymbolicMinor:
                             point[t_var(i)] = upper[i - 1][i - 1]
                             for j in range(i + 1, n + 1):
                                 point[u_var(i, j)] = upper[i - 1][j - 1]
-                        numeric = det(
+                        numeric = fraction_det(
                             [[upper[r - 1][c - 1] for c in cols] for r in rows]
                         )
                         assert sym.evaluate(point) == numeric

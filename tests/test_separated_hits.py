@@ -82,11 +82,9 @@ def _cycle_type(sigma):
 
 
 @pytest.mark.exhaustive
-def test_s7_hit_split_of_bad_pairs():
+def test_s7_hit_split_of_bad_pairs(s7_bad_sweep):
     with_hit, without_hit = 0, []
-    for w, w_prime, bad in comparable_pairs(7):
-        if not bad:
-            continue
+    for w, w_prime in s7_bad_sweep[1]:
         if separated_hits(w, w_prime):
             with_hit += 1
         else:

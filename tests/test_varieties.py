@@ -8,7 +8,6 @@ from math import gcd, lcm
 import pytest
 
 from weylpairs import varieties
-from weylpairs.linalg import det
 from weylpairs.pairs import enumerate_pairs
 from weylpairs.poly import (
     LAMBDA,
@@ -28,7 +27,6 @@ from weylpairs.varieties import (
     check_point_families,
     fiber_equations,
     incidence_relations,
-    p_polynomial,
     p_polynomials,
     plucker_relations,
     point_assignment,
@@ -39,7 +37,13 @@ from weylpairs.varieties import (
 )
 from weylpairs.weyl import Permutation
 
-from conftest import all_perms, reference_kernel
+from conftest import (
+    all_perms,
+    fraction_det,
+    fraction_mat_mul,
+    reference_kernel,
+    reference_p_polynomial,
+)
 
 F = Fraction
 P = Permutation.from_string
@@ -48,8 +52,7 @@ P = Permutation.from_string
 def random_matrix(rng, nrows, ncols):
     while True:
         m = [[F(rng.randint(-9, 9)) for _ in range(ncols)] for _ in range(nrows)]
-        probe = [row[:ncols] for row in m[:ncols]]
-        if ncols <= nrows and det([row[:ncols] for row in m[:ncols]]) != 0:
+        if ncols <= nrows and fraction_det([row[:ncols] for row in m[:ncols]]) != 0:
             return m
         if ncols > nrows:
             return m
@@ -60,7 +63,7 @@ def plucker_of_columns(m, d):
     n = len(m)
     out = {}
     for rows in itertools.combinations(range(1, n + 1), d):
-        out[rows] = det([[m[r - 1][c] for c in range(d)] for r in rows])
+        out[rows] = fraction_det([[m[r - 1][c] for c in range(d)] for r in rows])
     return out
 
 
@@ -197,7 +200,7 @@ class TestPPolynomials:
                 for indices in itertools.combinations(range(1, 5), d):
                     if not subset_leq(lead, indices):
                         continue
-                    poly = p_polynomial(w, indices)
+                    poly = reference_p_polynomial(w, indices)
                     point = {}
                     for tup in itertools.combinations(range(1, 5), d):
                         point[x_var(tup)] = (
@@ -219,7 +222,7 @@ class TestPPolynomials:
         for w in (P("2143"), P("4231"), P("1342")):
             for d in range(1, 4):
                 for indices in itertools.combinations(range(1, 5), d):
-                    poly = p_polynomial(w, indices)
+                    poly = reference_p_polynomial(w, indices)
                     expected = SparsePolynomial.constant(1)
                     for i in indices:
                         expected = expected * (SparsePolynomial.variable(t_var(i)) + lam)
@@ -238,7 +241,7 @@ class TestPPolynomials:
         for w in all_perms(4):
             for d in range(1, 4):
                 for indices in itertools.combinations(range(1, 5), d):
-                    assert p_polynomial(w, indices).lambda_degree() <= d - 1
+                    assert reference_p_polynomial(w, indices).lambda_degree() <= d - 1
 
 
 # fixed S6 elements: the identity, the longest element, README's unknown
@@ -252,14 +255,14 @@ S6_SAMPLE = (
 
 class TestPPolynomialsFastPath:
     """p_polynomials assembles P_{w,I,s} from cached w-independent pieces;
-    it must agree with splitting the reference p_polynomial(w, I)."""
+    it must agree with splitting P_{w,I} built from its definition."""
 
     @staticmethod
     def reference(w):
         out = {}
         for d in range(1, w.n):
             for indices in itertools.combinations(range(1, w.n + 1), d):
-                coeffs = p_polynomial(w, indices).lambda_coefficients()
+                coeffs = reference_p_polynomial(w, indices).lambda_coefficients()
                 for s in range(d):
                     out[(d, indices, s)] = (
                         coeffs[s] if s < len(coeffs) else SparsePolynomial.zero()
@@ -657,31 +660,6 @@ class TestSampling:
                     assert lhs == rhs
 
 
-def _fraction_mat_mul(a, b):
-    bt = list(zip(*b))
-    return [[sum((x * y for x, y in zip(row, col)), F(0)) for col in bt] for row in a]
-
-
-def _fraction_det(m):
-    n = len(m)
-    rows = [[F(x) for x in row] for row in m]
-    sign, prev = 1, F(1)
-    for c in range(n - 1):
-        piv = next((i for i in range(c, n) if rows[i][c] != 0), None)
-        if piv is None:
-            return F(0)
-        if piv != c:
-            rows[c], rows[piv] = rows[piv], rows[c]
-            sign = -sign
-        p = rows[c][c]
-        for i in range(c + 1, n):
-            f = rows[i][c]
-            for j in range(c, n):
-                rows[i][j] = (rows[i][j] * p - f * rows[c][j]) / prev
-        prev = p
-    return sign * rows[n - 1][n - 1]
-
-
 def _fraction_inverse(m):
     n = len(m)
     aug = [[F(x) for x in row] + [F(int(i == j)) for j in range(n)] for i, row in enumerate(m)]
@@ -715,9 +693,9 @@ def reference_sample(cell_w, diag_pairs, seed):
 
     b1, b2 = upper(), upper()
     perm = [[F(1 if i + 1 == cell_w(j + 1) else 0) for j in range(n)] for i in range(n)]
-    g = _fraction_mat_mul(_fraction_mat_mul(b1, perm), b2)
+    g = fraction_mat_mul(fraction_mat_mul(b1, perm), b2)
     plucker_values = {
-        rows: _fraction_det([[g[r - 1][c] for c in range(d)] for r in rows])
+        rows: fraction_det([[g[r - 1][c] for c in range(d)] for r in rows])
         for d in range(1, n)
         for rows in itertools.combinations(range(1, n + 1), d)
     }
@@ -888,6 +866,14 @@ class TestSimplifiedIncidence:
     def test_hypothesis_violation_rejected(self):
         with pytest.raises(PreconditionError):
             simplified_incidence_check(P("4231"), 1, 2, (1,), 3)
+
+    @pytest.mark.parametrize("samples", [0, -1])
+    def test_no_sample_rejected(self, samples):
+        # checked at no point, either identity would hold vacuously
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            simplified_incidence_check(P("4231"), 1, 4, (2,), 1, samples=samples)
+        with pytest.raises(ValueError, match="samples must be at least 1"):
+            additional_equation_holds(P("4231"), 1, 4, (2,), 1, samples=samples)
 
     def test_longest_element_configurations(self):
         # no vanishing cell variables: every admissible configuration is the
