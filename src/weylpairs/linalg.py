@@ -1,7 +1,8 @@
 """Exact linear algebra over the rationals.
 
-Vectors are tuples of :class:`fractions.Fraction`; matrices are sequences of
-such rows, whose entries may also be ``int``.  Rank, kernels and inverses
+Vectors are tuples of ``int`` (roots, Gram matrices and the vectors of the
+Weyl group action are integral) or of :class:`fractions.Fraction`; matrices
+are sequences of such rows, and may mix the two.  Rank, kernels and inverses
 share one fraction-free Gauss-Jordan core on integer rows: each row is first
 scaled by the lcm of its denominators, and the Bareiss step
 
@@ -19,8 +20,8 @@ from fractions import Fraction
 from math import lcm
 from typing import Sequence
 
-Vector = tuple[Fraction, ...]
-Matrix = Sequence[Sequence[Fraction]]
+Vector = tuple[int | Fraction, ...]
+Matrix = Sequence[Sequence[int | Fraction]]
 
 
 def is_zero_vector(x: Vector) -> bool:

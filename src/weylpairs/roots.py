@@ -1,10 +1,12 @@
-"""Finite root systems over the rationals.
+"""Finite root systems with integer coordinates.
 
-A :class:`RootSystem` is a finite set of vectors in Q^rank together with an
-ordered simple basis and a symmetric bilinear form invariant under all the
-reflections s_alpha.  Two constructions are provided: the concrete type-A
-realisation ``e_i - e_j`` inside Q^n, and reflection closure of the simple
-roots of an arbitrary finite-type Cartan matrix.
+A :class:`RootSystem` is a finite set of integer vectors in Z^rank together
+with an ordered simple basis and an integer symmetric bilinear form invariant
+under all the reflections s_alpha.  Every reflection coefficient
+2 (x|alpha)/(alpha|alpha) of a lattice vector x is an integer, so reflections
+are exact integer maps.  Two constructions are provided: the concrete type-A
+realisation ``e_i - e_j`` inside Z^n, and reflection closure of the simple
+roots of an arbitrary finite-type Cartan matrix, in simple-root coordinates.
 """
 
 from __future__ import annotations
@@ -12,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd, lcm
 from typing import Iterable, Sequence
 
 from .linalg import Vector
@@ -29,49 +32,37 @@ class InvalidRootError(ValueError):
     """Raised when reflecting in an isotropic vector."""
 
 
-def _proportional(alpha: Vector, beta: Vector) -> Fraction | None:
-    """The constant c with beta = c * alpha, or None if not proportional."""
-    ratio = None
-    for a, b in zip(alpha, beta):
-        if a == 0 and b == 0:
-            continue
-        if a == 0 or b == 0:
-            return None
-        r = b / a
-        if ratio is None:
-            ratio = r
-        elif r != ratio:
-            return None
-    return ratio
-
-
 @dataclass(frozen=True)
 class RootSystem:
     """A reduced finite root system with a fixed simple basis.
 
     ``roots`` is stored sorted for deterministic iteration.  ``form`` is the
     Gram matrix of the invariant bilinear form on the ambient coordinates.
+    Every coordinate and every form entry is an ``int``.
     """
 
     rank: int
     roots: tuple[Vector, ...]
     simple_roots: tuple[Vector, ...]
-    form: tuple[tuple[Fraction, ...], ...]
+    form: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
 
-    def pairing(self, x: Vector, y: Vector) -> Fraction:
+    def pairing(self, x: Vector, y: Vector) -> int:
         """The invariant form (x | y)."""
-        return sum(
-            (xi * f * yj for xi, row in zip(x, self.form) for f, yj in zip(row, y)),
-            Fraction(0),
-        )
+        return sum(xi * f * yj for xi, row in zip(x, self.form) for f, yj in zip(row, y))
 
     def reflect(self, alpha: Vector, x: Vector) -> Vector:
-        """s_alpha(x) = x - 2 (x|alpha)/(alpha|alpha) alpha."""
+        """s_alpha(x) = x - c alpha with the integer c = 2 (x|alpha)/(alpha|alpha).
+
+        A vector x for which c is not an integer is off the root lattice and
+        raises ``ValueError``.
+        """
         norm = self.pairing(alpha, alpha)
         if norm == 0:
             raise InvalidRootError(f"isotropic reflection vector {alpha}")
-        c = 2 * self.pairing(x, alpha) / norm
+        c, rem = divmod(2 * self.pairing(x, alpha), norm)
+        if rem:
+            raise ValueError(f"{x} is off the lattice: 2(x|alpha)/(alpha|alpha) is not integral")
         return tuple(xi - c * ai for xi, ai in zip(x, alpha))
 
     def is_positive(self, root: Vector) -> bool:
@@ -101,6 +92,9 @@ class RootSystem:
         self._validate()
 
     def _validate(self) -> None:
+        vectors = (*self.roots, *self.simple_roots, *self.form)
+        if any(type(c) is not int for v in vectors for c in v):
+            raise ValueError("root coordinates and form entries must be int")
         roots = set(self.roots)
         if not roots:
             raise ValueError("empty root system")
@@ -113,36 +107,36 @@ class RootSystem:
             for x in self.roots:
                 if self.reflect(alpha, x) not in roots:
                     raise ValueError(f"root set not stable under s_{alpha}")
-        # reduced: only +-1 rational multiples occur
-        for alpha in self.roots:
-            for beta in roots:
-                if beta in (alpha, tuple(-c for c in alpha)):
-                    continue
-                if _proportional(alpha, beta) is not None:
-                    raise ValueError(f"non-reduced pair {alpha}, {beta}")
+        # a symmetric set is reduced iff each line through 0 holds only +-alpha,
+        # i.e. iff the sign-normalised primitive vectors number |roots| / 2
+        lines = set()
+        for alpha in roots:
+            g = gcd(*alpha)
+            v = tuple(c // g for c in alpha)
+            lines.add(v if self.is_positive(v) else tuple(-c for c in v))
+        if 2 * len(lines) != len(roots):
+            raise ValueError("non-reduced root set: a root has a multiple other than its negative")
 
 
 def build_type_A(n: int) -> RootSystem:
-    """The A_{n-1} system {e_i - e_j : i != j} in Q^n with the standard form."""
+    """The A_{n-1} system {e_i - e_j : i != j} in Z^n with the standard form."""
     if n < 2:
         raise ValueError(f"type A needs n >= 2, got {n}")
-    zero = [Fraction(0)] * n
+    zero = [0] * n
     roots = []
     for i in range(n):
         for j in range(n):
             if i == j:
                 continue
             v = zero.copy()
-            v[i], v[j] = Fraction(1), Fraction(-1)
+            v[i], v[j] = 1, -1
             roots.append(tuple(v))
     simple = []
     for i in range(n - 1):
         v = zero.copy()
-        v[i], v[i + 1] = Fraction(1), Fraction(-1)
+        v[i], v[i + 1] = 1, -1
         simple.append(tuple(v))
-    form = tuple(
-        tuple(Fraction(int(i == j)) for j in range(n)) for i in range(n)
-    )
+    form = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
     return RootSystem(
         rank=n,
         roots=tuple(sorted(roots)),
@@ -152,10 +146,12 @@ def build_type_A(n: int) -> RootSystem:
     )
 
 
-def _symmetrize_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """Gram matrix B with B symmetric and 2*B[i][j]/B[j][j] = cartan[i][j].
+def _symmetrize_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[int, ...], ...]:
+    """Integer Gram matrix B with B symmetric and 2*B[i][j]/B[j][j] = cartan[i][j].
 
-    Simple roots are the standard basis of Q^rank in these coordinates.
+    Simple roots are the standard basis of Z^rank in these coordinates.  The
+    ratios are rational while they are solved for; B is the smallest positive
+    integer multiple of the rational solution.
     """
     r = len(cartan)
     d = [Fraction(0)] * r  # d[i] = (alpha_i | alpha_i) / 2
@@ -182,7 +178,8 @@ def _symmetrize_cartan(cartan: Sequence[Sequence[int]]) -> tuple[tuple[Fraction,
         for j in range(r):
             if b[i][j] != b[j][i]:
                 raise ValueError("Cartan matrix is not symmetrizable")
-    return tuple(tuple(row) for row in b)
+    scale = lcm(*(x.denominator for row in b for x in row))
+    return tuple(tuple((x * scale).numerator for x in row) for row in b)
 
 
 def build_from_cartan(cartan: Sequence[Sequence[int]], name: str = "") -> RootSystem:
@@ -205,9 +202,7 @@ def build_from_cartan(cartan: Sequence[Sequence[int]], name: str = "") -> RootSy
             if (cartan[i][j] == 0) != (cartan[j][i] == 0):
                 raise ValueError("Cartan zero pattern must be symmetric")
     form = _symmetrize_cartan(cartan)
-    simple = tuple(
-        tuple(Fraction(int(i == j)) for j in range(r)) for i in range(r)
-    )
+    simple = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
     shell = RootSystem.__new__(RootSystem)  # closure needs pairing before validation
     object.__setattr__(shell, "rank", r)
     object.__setattr__(shell, "form", form)

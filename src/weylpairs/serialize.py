@@ -8,8 +8,6 @@ identical runs emit byte-identical JSON.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .mingen import MinGenSubsystem
 from .pairs import PairVerdict
 from .patterns import PatternReport
@@ -17,18 +15,8 @@ from .varieties import CounterexampleReport, EquationSet, WitnessVerification
 from .weyl import Permutation, SymmetricGroup
 
 
-def root_coords(vec) -> list[int]:
-    out = []
-    for c in vec:
-        f = Fraction(c)
-        if f.denominator != 1:
-            raise ValueError(f"root coordinate {f} is not an integer")
-        out.append(int(f))
-    return out
-
-
 def pair_key_root(group: SymmetricGroup, key) -> list[int]:
-    return root_coords(group.root_vector(key))
+    return list(group.root_vector(key))
 
 
 def verdict_dict(v: PairVerdict, group: SymmetricGroup | None = None) -> dict:
@@ -67,7 +55,7 @@ def mingen_dict(w: Permutation, sub: MinGenSubsystem, orbits) -> dict:
         "w": w.to_string(),
         "d_w": sub.d_w,
         "orbits": [list(o) for o in orbits],
-        "phi_w": [root_coords(v) for v in sub.phi_w],
+        "phi_w": [list(v) for v in sub.phi_w],
     }
 
 

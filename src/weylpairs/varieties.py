@@ -207,6 +207,22 @@ def _colinearity_index(n: int, indices: tuple[int, ...]) -> dict:
 
 
 @lru_cache(maxsize=None)
+def _colinearity_sum(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
+    """(C_{I,0}, ..., C_{I,d-1}) with C_{I,s} = sum_J M_{I,J,s} x_J, the
+    lambda^s coefficient of the colinearity sum; independent of w."""
+    index = _colinearity_index(n, indices)
+    terms = [
+        (index[tup], SparsePolynomial.variable(x))
+        for tup, x in _x_vars(n, len(indices))
+        if tup in index
+    ]
+    return tuple(
+        sum((m[s] * x_j for m, x_j in terms), SparsePolynomial.zero())
+        for s in range(len(indices))
+    )
+
+
+@lru_cache(maxsize=None)
 def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
     """The lambda-coefficients of prod_{m in subset} (t_m + lambda): entry s
     is the elementary symmetric polynomial e_{|subset|-s} of those t_m."""
@@ -239,21 +255,18 @@ class EquationSet:
         """(d, index tuple, s) -> the lambda-free P_{w,indices,s}, for every
         1 <= d <= n-1 and 0 <= s <= d-1, built on first access.
 
-        P_{w,I,s} = sum_J M_{I,J,s} x_J - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I,
-        the M from ``_colinearity_index`` and the e from the diagonal product.
+        P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, the
+        w-independent C from ``_colinearity_sum`` and the e from the diagonal
+        product.
         """
         n, w = self.n, self.w
         p_eqs = {}
         for d in range(1, n):
             diagonal = _subset_product_coefficients(_prefix_set(w, d))
-            x_vars = [(tup, SparsePolynomial.variable(x)) for tup, x in _x_vars(n, d)]
-            for indices, x_i in x_vars:
-                index = _colinearity_index(n, indices)
-                terms = [(index[tup], x_j) for tup, x_j in x_vars if tup in index]
-                for s in range(d):
-                    p_eqs[(d, indices, s)] = sum(
-                        (m[s] * x_j for m, x_j in terms), -diagonal[s] * x_i
-                    )
+            for indices, x in _x_vars(n, d):
+                x_i = SparsePolynomial.variable(x)
+                for s, c in enumerate(_colinearity_sum(n, indices)):
+                    p_eqs[(d, indices, s)] = c - diagonal[s] * x_i
         return p_eqs
 
 

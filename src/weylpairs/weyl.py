@@ -23,10 +23,9 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
 from functools import lru_cache
 
-from .linalg import Vector, independent_subset, in_span, kernel_basis
+from .linalg import Vector, independent_subset, in_span, integer_kernel
 from .roots import RootSystem, build_named
 
 
@@ -273,8 +272,8 @@ class SymmetricGroup:
 
     def root_vector(self, key: tuple[int, int]) -> Vector:
         i, j = key
-        v = [Fraction(0)] * self.n
-        v[i - 1], v[j - 1] = Fraction(1), Fraction(-1)
+        v = [0] * self.n
+        v[i - 1], v[j - 1] = 1, -1
         return tuple(v)
 
     def root_image_positive(self, w: Permutation, key: tuple[int, int]) -> tuple[int, int]:
@@ -311,10 +310,10 @@ class SymmetricGroup:
 
     # -- linear action (for minimal generating subsystems) -------------------
     def action_span_vectors(self, w: Permutation) -> list[Vector]:
-        """Vectors w(v) - v for v running over the standard basis of Q^n."""
+        """Vectors w(v) - v for v running over the standard basis of Z^n."""
         out = []
         for i in range(1, self.n + 1):
-            v = [Fraction(0)] * self.n
+            v = [0] * self.n
             v[w(i) - 1] += 1
             v[i - 1] -= 1
             out.append(tuple(v))
@@ -506,11 +505,7 @@ class ReflectionGroup:
     def _simple_support(self, key: int) -> frozenset[int]:
         if self._support_table is None:
             simple = self.system.simple_roots
-            table = []
-            for r in self.root_vectors:
-                coeffs = _expand_in_basis(simple, r)
-                table.append(frozenset(j + 1 for j, c in enumerate(coeffs) if c != 0))
-            self._support_table = table
+            self._support_table = [_support_in_basis(simple, r) for r in self.root_vectors]
         return self._support_table[key]
 
     # -- parabolic machinery --------------------------------------------------
@@ -524,16 +519,16 @@ class ReflectionGroup:
     in_parabolic = _in_parabolic
 
 
-def _expand_in_basis(basis: tuple[Vector, ...], v: Vector) -> tuple[Fraction, ...]:
-    """Coefficients of v over a linearly independent family (must lie in span)."""
+def _support_in_basis(basis: tuple[Vector, ...], v: Vector) -> frozenset[int]:
+    """1-based positions of the nonzero coefficients of v over a linearly
+    independent family (v must lie in its span): the nonzero entries of the
+    kernel vector sum_k c_k basis_k + c v = 0 with c != 0."""
     cols = list(basis) + [v]
-    matrix = [
-        [cols[c][r] for c in range(len(cols))] for r in range(len(v))
-    ]
-    for k in kernel_basis(matrix):
+    matrix = [[col[r] for col in cols] for r in range(len(v))]
+    numerators, _ = integer_kernel(matrix)
+    for k in numerators:
         if k[-1] != 0:
-            t = -k[-1]
-            return tuple(c / t for c in k[:-1])
+            return frozenset(j + 1 for j, c in enumerate(k[:-1]) if c != 0)
     raise ValueError("vector is not in the span of the basis")
 
 

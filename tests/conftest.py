@@ -12,6 +12,13 @@ from weylpairs.poly import LAMBDA, SparsePolynomial, symbolic_minor, t_var, x_va
 from weylpairs.weyl import Permutation, reflection_group, symmetric_group  # noqa: E402
 
 
+# the B4 and D4 Cartan matrices of the crossval benchmark workload
+BENCH_CARTAN = {
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
+}
+
+
 def vector(coords):
     """An exact rational vector: a tuple of ``Fraction``."""
     return tuple(Fraction(c) for c in coords)

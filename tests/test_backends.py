@@ -11,9 +11,9 @@ from fractions import Fraction
 from weylpairs.mingen import min_gen_subsystem
 from weylpairs.pairs import is_good_chain, is_good_parabolic
 from weylpairs.roots import CARTAN, build_from_cartan
-from weylpairs.weyl import Permutation, ReflectionGroup, symmetric_group
+from weylpairs.weyl import Permutation, ReflectionGroup, reflection_group, symmetric_group
 
-from conftest import all_perms
+from conftest import BENCH_CARTAN, all_perms
 
 F = Fraction
 
@@ -71,3 +71,17 @@ def test_backends_agree_on_s4():
                 is_good_parabolic(sg, u, v).verdict
                 == is_good_parabolic(rg, to_rg[u], to_rg[v]).verdict
             )
+
+
+def test_both_backends_build_int_vectors():
+    """Root vectors, w - id images and E_w / Phi_w are ``int`` on both
+    backends (``type`` is checked, since a ``Fraction`` compares equal)."""
+    d4 = ReflectionGroup(build_from_cartan(BENCH_CARTAN["D4"]))
+    b3 = reflection_group("B3")
+    cases = [(symmetric_group(4), all_perms(4)), (b3, range(b3.size)), (d4, range(d4.size))]
+    for group, elements in cases:
+        vectors = [group.root_vector(key) for key in group.positive_keys]
+        for w in elements:
+            sub = min_gen_subsystem(group, w)
+            vectors += [*group.action_span_vectors(w), *sub.e_w_basis, *sub.phi_w]
+        assert all(type(c) is int for v in vectors for c in v)

@@ -21,12 +21,13 @@ from weylpairs.roots import (
     CARTAN,
     InvalidRootError,
     NotFiniteTypeError,
+    RootSystem,
     build_from_cartan,
     build_type_A,
     subset_leq,
 )
 
-from conftest import fraction_det, fraction_mat_mul, reference_kernel, vector
+from conftest import BENCH_CARTAN, fraction_det, fraction_mat_mul, reference_kernel, vector
 
 F = Fraction
 
@@ -169,6 +170,87 @@ class TestReflect:
         sx = system.reflect(alpha, x)
         sy = system.reflect(alpha, y)
         assert system.pairing(sx, sy) == system.pairing(x, y)
+
+
+def _build(name):
+    if name.startswith("A"):
+        return build_type_A(int(name[1:]) + 1)
+    return build_from_cartan({**CARTAN, **BENCH_CARTAN}[name], name=name)
+
+
+def _all_int(vectors):
+    return all(type(c) is int for v in vectors for c in v)
+
+
+class TestIntegerFormat:
+    """Roots, the form, pairings and reflections are ``int``, not merely
+    integral: checked with ``type(...) is int``, since a ``Fraction`` would
+    compare equal."""
+
+    @pytest.mark.parametrize("name", ["A1", "A2", "A3", "A4", "A5", "B2", "B3", "B4", "D4", "G2"])
+    def test_roots_form_pairing_and_reflections_are_int(self, name):
+        system = _build(name)
+        assert _all_int(system.roots)
+        assert _all_int(system.simple_roots)
+        assert _all_int(system.form)
+        for alpha, beta in itertools.product(system.roots, repeat=2):
+            assert type(system.pairing(alpha, beta)) is int
+            assert _all_int([system.reflect(alpha, beta)])
+
+    @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "B4", "D4", "G2"])
+    def test_form_recovers_the_cartan_matrix(self, name):
+        cartan = {**CARTAN, **BENCH_CARTAN}[name]
+        form = build_from_cartan(cartan).form
+        r = len(cartan)
+        for i in range(r):
+            for j in range(r):
+                assert form[i][j] == form[j][i]
+                assert 2 * form[i][j] == cartan[i][j] * form[j][j]
+
+    def test_smallest_integer_multiple(self):
+        # the rational solution with (alpha_1|alpha_1) = 2 is already integral
+        # for B2 and G2; the reversed G2 labelling needs the factor 3
+        assert build_from_cartan(CARTAN["B2"]).form == ((2, -1), (-1, 1))
+        assert build_from_cartan(CARTAN["G2"]).form == ((2, -3), (-3, 6))
+        assert build_from_cartan([[2, -3], [-1, 2]]).form == ((6, -3), (-3, 2))
+
+
+class TestValidateRejections:
+    """``RootSystem`` is public: each check it makes on its input rejects."""
+
+    def test_non_reduced(self):
+        with pytest.raises(ValueError, match="non-reduced"):
+            RootSystem(rank=1, roots=((-2,), (-1,), (1,), (2,)), simple_roots=((1,),), form=((1,),))
+
+    def test_root_without_its_negative(self):
+        with pytest.raises(ValueError, match="not symmetric"):
+            RootSystem(
+                rank=2, roots=((-1, 0), (0, 1), (1, 0)), simple_roots=((1, 0), (0, 1)),
+                form=((1, 0), (0, 1)),
+            )
+
+    def test_not_stable(self):
+        # {+-e1, +-e2, +-(e1 + e2)}: s_{e1}(e1 + e2) = e2 - e1 is missing
+        roots = ((-1, -1), (-1, 0), (0, -1), (0, 1), (1, 0), (1, 1))
+        with pytest.raises(ValueError, match="not stable"):
+            RootSystem(rank=2, roots=roots, simple_roots=((1, 0), (0, 1)), form=((1, 0), (0, 1)))
+
+    def test_isotropic_root(self):
+        with pytest.raises(ValueError, match="isotropic root"):
+            RootSystem(
+                rank=2, roots=((-1, -1), (1, 1)), simple_roots=((1, 1),), form=((1, 0), (0, -1)),
+            )
+
+    def test_fraction_coordinate(self):
+        with pytest.raises(ValueError, match="must be int"):
+            RootSystem(rank=1, roots=((F(-1),), (F(1),)), simple_roots=((1,),), form=((1,),))
+        with pytest.raises(ValueError, match="must be int"):
+            RootSystem(rank=1, roots=((-1,), (1,)), simple_roots=((1,),), form=((F(1),),))
+
+    def test_reflecting_a_vector_off_the_lattice(self):
+        system = build_type_A(3)
+        with pytest.raises(ValueError, match="off the lattice"):
+            system.reflect((1, -1, 0), (F(1, 2), 0, 0))
 
 
 class TestSubsetLeq:
