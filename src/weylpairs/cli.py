@@ -37,6 +37,7 @@ from .varieties import (
     p_polynomials,
     point_assignment,
     sample_point_on_Vw,
+    separated_hits,
     verify_witness,
 )
 from .weyl import Permutation, check_size, symmetric_group
@@ -259,24 +260,20 @@ def cmd_witness_verify(args) -> int:
     check_size("equation generation", args.n)
     _require_together(args, "a", "b")
     w, wp = _bad_pair(args)
-    if args.a is not None:
-        result = verify_witness(w, wp, args.a, args.b)
-        _emit(witness_dict(result), sys.stdout)
-        return 0 if result.ok else 1
-    report = additional_equation_scan(w, wp)
-    if report.witness is None:
+    hits = [(hit.a, hit.b) for hit in separated_hits(w, wp)]
+    if args.a is None and not hits:
         _emit(
-            {
-                "w": w.to_string(),
-                "w_prime": wp.to_string(),
-                "status": report.status,
-                "witness": None,
-            },
+            {"w": w.to_string(), "w_prime": wp.to_string(), "status": "unknown", "witness": None},
             sys.stdout,
         )
         return 0
-    _emit(witness_dict(report.witness), sys.stdout)
-    return 0 if report.witness.ok else 1
+    a, b = hits[0] if args.a is None else (args.a, args.b)
+    if (a, b) not in hits:
+        pair = f"({w.to_string()}, {wp.to_string()})"
+        raise ValueError(f"(a, b) = ({a}, {b}) is not a separated hit of {pair}")
+    result = verify_witness(w, wp, a, b)
+    _emit(witness_dict(result), sys.stdout)
+    return 0 if result.ok else 1
 
 
 def cmd_sample_check(args) -> int:

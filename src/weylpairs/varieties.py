@@ -92,12 +92,17 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
     """sum_k (-1)^k x_{i_1..i_{d-1} j_k} x'_{j_1..^j_k..j_{d'+1}} over all
     increasing index choices, with signed-variable normalization.
 
-    Built straight into term dicts, normalising i_seq + (j,) once per i_seq.
-    Identically-zero relations are dropped and duplicates (up to sign) kept
-    once, in first-seen order.
+    Built straight into term dicts, normalising i_seq + (j,) once per i_seq;
+    only the j_k outside i_seq give a term.  For d < d' every choice gives a
+    new nonzero relation.  For d = d' the choices where min(i_seq ^ j_seq)
+    is not in i_seq are skipped unbuilt, which leaves every relation once, at
+    its first (i_seq, j_seq) in iteration order:
+    - j_seq \\ i_seq = {a, b}: the terms x_{I+a} x_{I+b} cancel to 0;
+    - j_seq \\ i_seq = {a < b < c}, i_seq \\ j_seq = {i}: the three-term relation
+      of (i_seq & j_seq) + {i, a, b, c} comes up once for each of its four
+      choices of i, and i < a gives the lexicographically first i_seq.
     """
     out: list[SparsePolynomial] = []
-    seen: set[SparsePolynomial] = set()
     universe = range(1, n + 1)
     for i_seq in itertools.combinations(universe, d - 1):
         signed = {}
@@ -106,20 +111,15 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
             if sign:
                 signed[j] = (sign, x_var(idx))
         for j_seq in itertools.combinations(universe, d_prime + 1):
+            outside = [(k, jk) for k, jk in enumerate(j_seq) if jk in signed]
+            if d == d_prime and len(outside) <= 3 and min(set(i_seq) ^ set(j_seq)) not in i_seq:
+                continue
             terms: dict = {}
-            for k, jk in enumerate(j_seq):
-                if jk not in signed:
-                    continue
+            for k, jk in outside:
                 sign, x = signed[jk]
                 mono = ((x, 1), (x_var(j_seq[:k] + j_seq[k + 1 :]), 1))
                 terms[mono] = sign if k % 2 else -sign
-            rel = SparsePolynomial(terms)
-            if rel.is_zero:
-                continue
-            rel = _canonical_sign(rel)
-            if rel not in seen:
-                seen.add(rel)
-                out.append(rel)
+            out.append(_canonical_sign(SparsePolynomial(terms)))
     return tuple(out)
 
 
@@ -223,21 +223,20 @@ def _colinearity_sum(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial
 
 
 @lru_cache(maxsize=None)
-def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """The lambda-coefficients of prod_{m in subset} (t_m + lambda): entry s
-    is the elementary symmetric polynomial e_{|subset|-s} of those t_m."""
+def _subset_product(subset: tuple[int, ...]) -> SparsePolynomial:
+    """prod_{m in subset} (t_m + lambda)."""
     out = SparsePolynomial.constant(1)
     lam = SparsePolynomial.variable(LAMBDA)
     for m in subset:
         out = out * (SparsePolynomial.variable(t_var(m)) + lam)
-    return tuple(out.lambda_coefficients())
+    return out
 
 
-def _diagonal_product(w: Permutation, d: int) -> SparsePolynomial:
-    """prod_{k<=d} (t_{w(k)} + lambda)."""
-    coeffs = _subset_product_coefficients(_prefix_set(w, d))
-    lam = SparsePolynomial.variable(LAMBDA)
-    return sum((c * lam**s for s, c in enumerate(coeffs)), SparsePolynomial.zero())
+@lru_cache(maxsize=None)
+def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
+    """The lambda-coefficients of ``_subset_product(subset)``: entry s is the
+    elementary symmetric polynomial e_{|subset|-s} of those t_m."""
+    return tuple(_subset_product(subset).lambda_coefficients())
 
 
 @dataclass
@@ -627,6 +626,8 @@ def verify_witness(
     check_size("equation generation", n)
     _check_ab(n, a, b)
     t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
+    if len(t) != n:
+        raise ValueError(f"the diagonal needs n = {n} entries, got {len(t)}")
     leads = {_prefix_set(w_prime, d) for d in range(1, n)}
     plucker_values = {tup: int(tup in leads) for d in range(1, n) for tup, _ in _x_vars(n, d)}
     psi = tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))
@@ -759,7 +760,7 @@ def additional_equation_holds(
             n, tuple(sorted(j_tuple + (b,))), tuple(sorted(k_seq + (b,))), shift_lambda=True
         )
         poly = poly + minor * _signed_x(k_seq + (a,)) * (sigma_j * sigma_k)
-    poly = poly - _diagonal_product(w, q + 1) * _signed_x(j_tuple + (a,))
+    poly = poly - _subset_product(_prefix_set(w, q + 1)) * _signed_x(j_tuple + (a,))
     coeffs = poly.lambda_coefficients()
     for s in range(samples):
         point = _cached_sample_assignment(w.one_line, seed + s)

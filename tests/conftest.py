@@ -19,11 +19,6 @@ BENCH_CARTAN = {
 }
 
 
-def vector(coords):
-    """An exact rational vector: a tuple of ``Fraction``."""
-    return tuple(Fraction(c) for c in coords)
-
-
 def fraction_mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]

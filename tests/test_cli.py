@@ -433,6 +433,10 @@ class TestInputContract:
             ["patterns", "query", "--w", " "],
             ["pair", "classify", "--n", "1", "--w1", "1", "--w2", "1", "--criteria", "orbit"],
             ["pair", "classify", "--n", "1", "--w1", "1", "--w2", "1", "--criteria", "flatten"],
+            ["witness", "verify", "--n", "6", "--w", "653421", "--wprime", "124356",
+             "--a", "1", "--b", "2"],
+            ["witness", "verify", "--n", "4", "--w", "4231", "--wprime", "1324",
+             "--a", "2", "--b", "1"],
         ],
         ids=[
             "scan-w-alone", "scan-wprime-alone", "witness-a-alone",
@@ -443,6 +447,7 @@ class TestInputContract:
             "enumerate-n7-no-flag", "enumerate-n8", "enumerate-n1", "verify-n7-no-flag",
             "verify-n8", "sample-n7", "emit-n7", "witness-n7", "sample-n1",
             "query-empty", "query-blank", "classify-n1-orbit", "classify-n1-flatten",
+            "witness-ab-on-unknown-pair", "witness-ab-not-a-hit",
         ],
     )
     def test_exit_2_with_message(self, argv, capsys):

@@ -1,7 +1,6 @@
 """Minimal generating subsystems: E_w, Phi_w, d_w and the reflection length."""
 
 import itertools
-from fractions import Fraction
 
 import pytest
 
@@ -11,14 +10,12 @@ from weylpairs.weyl import Permutation, symmetric_group
 
 from conftest import all_perms
 
-F = Fraction
-
 
 def pairs_to_vectors(n, pairs):
     out = []
     for i, j in pairs:
-        v = [F(0)] * n
-        v[i - 1], v[j - 1] = F(1), F(-1)
+        v = [0] * n
+        v[i - 1], v[j - 1] = 1, -1
         out.append(tuple(v))
         out.append(tuple(-c for c in v))
     return tuple(sorted(out))

@@ -27,7 +27,7 @@ from weylpairs.roots import (
     subset_leq,
 )
 
-from conftest import BENCH_CARTAN, fraction_det, fraction_mat_mul, reference_kernel, vector
+from conftest import BENCH_CARTAN, fraction_det, fraction_mat_mul, reference_kernel
 
 F = Fraction
 
@@ -58,13 +58,13 @@ class TestBuildTypeA:
         system = build_type_A(3)
         assert len(system.roots) == 6
         assert system.simple_roots == (
-            vector([1, -1, 0]),
-            vector([0, 1, -1]),
+            (1, -1, 0),
+            (0, 1, -1),
         )
 
     def test_n2_two_roots(self):
         system = build_type_A(2)
-        assert set(system.roots) == {vector([1, -1]), vector([-1, 1])}
+        assert set(system.roots) == {(1, -1), (-1, 1)}
 
     def test_a3_count_matches_enumeration_oracle(self):
         # oracle: direct double loop over ordered index pairs
@@ -130,23 +130,23 @@ class TestBuildFromCartan:
 class TestReflect:
     def test_reflection_negates_root(self):
         system = build_type_A(3)
-        alpha = vector([1, -1, 0])
-        assert system.reflect(alpha, alpha) == vector([-1, 1, 0])
+        alpha = (1, -1, 0)
+        assert system.reflect(alpha, alpha) == (-1, 1, 0)
 
     def test_adjacent_simple_roots(self):
         system = build_type_A(3)
-        assert system.reflect(vector([1, -1, 0]), vector([0, 1, -1])) == vector([1, 0, -1])
+        assert system.reflect((1, -1, 0), (0, 1, -1)) == (1, 0, -1)
 
     def test_orthogonal_vector_fixed(self):
         system = build_type_A(4)
-        alpha = vector([1, -1, 0, 0])
-        x = vector([0, 0, 2, -5])
+        alpha = (1, -1, 0, 0)
+        x = (0, 0, 2, -5)
         assert system.reflect(alpha, x) == x
 
     def test_isotropic_vector_rejected(self):
         system = build_type_A(3)
         with pytest.raises(InvalidRootError):
-            system.reflect(vector([0, 0, 0]), vector([1, -1, 0]))
+            system.reflect((0, 0, 0), (1, -1, 0))
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -155,7 +155,7 @@ class TestReflect:
     )
     def test_involution(self, alpha, coords):
         system = build_type_A(4)
-        x = vector(coords)
+        x = coords
         assert system.reflect(alpha, system.reflect(alpha, x)) == x
 
     @settings(max_examples=60, deadline=None)
@@ -166,7 +166,7 @@ class TestReflect:
     )
     def test_form_invariance(self, alpha, xs, ys):
         system = build_type_A(4)
-        x, y = vector(xs), vector(ys)
+        x, y = xs, ys
         sx = system.reflect(alpha, x)
         sy = system.reflect(alpha, y)
         assert system.pairing(sx, sy) == system.pairing(x, y)
@@ -323,10 +323,10 @@ class TestKernel:
 
 class TestMatrixHelpers:
     def test_in_span_and_independent_subset(self):
-        v1, v2 = vector([1, 0, 1]), vector([0, 1, 1])
-        assert in_span([v1, v2], vector([1, 1, 2]))
-        assert not in_span([v1, v2], vector([0, 0, 1]))
-        picked = independent_subset([v1, v1, v2, vector([1, 1, 2])])
+        v1, v2 = (F(1), F(0), F(1)), (F(0), F(1), F(1))
+        assert in_span([v1, v2], (F(1), F(1), F(2)))
+        assert not in_span([v1, v2], (F(0), F(0), F(1)))
+        picked = independent_subset([v1, v1, v2, (F(1), F(1), F(2))])
         assert picked == [v1, v2]
 
 

@@ -555,7 +555,7 @@ def _exchange_reference(n, d, d_prime):
     return tuple(out)
 
 
-@pytest.mark.parametrize("n", [4, 5, 6])
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_exchange_relations_match_polynomial_arithmetic(n):
     for d in range(1, n):
         for d_prime in range(d, n):
@@ -827,6 +827,11 @@ class TestWitness:
         canonical = witness_dict(verify_witness(P("4231"), P("1324"), 1, 2))
         assert canonical["t"] == ["0", "1", "1", "0"]
         assert canonical["plucker_nonzero"] == {"1": "1", "13": "1", "123": "1"}
+
+    @pytest.mark.parametrize("diagonal", [(0, 1, 1, 0, 5), (0, 1)], ids=["five", "two"])
+    def test_diagonal_of_wrong_length_rejected(self, diagonal):
+        with pytest.raises(ValueError, match="needs n = 4 entries"):
+            verify_witness(P("4231"), P("1324"), 1, 2, diagonal=diagonal)
 
     def test_same_orbit_rejected(self):
         with pytest.raises(ValueError):
