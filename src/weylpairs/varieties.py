@@ -20,11 +20,13 @@ witness point against every equation family with exact arithmetic.
 The lambda^s coefficient of P_{w,i} is P_{w,i,s} = C_{i,s} - e_{d-s}(t_{w(1..d)}) x_i,
 where C_{i,s} = sum_j M_{i,j,s} x_j is the lambda^s coefficient of the
 colinearity sum, M_{i,j,s} that of Delta^j_i(u + lambda id), and e the
-elementary symmetric polynomial.  The M and the e are independent of w and
-cached, so a point is checked against the P-family without building any
-P_{w,i,s}: it must satisfy sum_j M_{i,j,s}(pt) x_j(pt) = e_{d-s}(pt) x_i(pt),
-summed over the j with x_j(pt) != 0 only, with each e evaluated once per d.
-The polynomials themselves are built only on request (``EquationSet.p_equations``).
+elementary symmetric polynomial.  These polynomials are built only on request
+(``EquationSet.p_equations``).  A point is checked against the P-family on its
+own numbers instead, without any polynomial: the shifted minors
+Delta^j_i(A + lambda id) of its (u, t) matrix A are computed as lists of
+lambda-coefficients by Laplace expansion, memoised per point and only for the
+j with x_j(pt) != 0, and every coefficient of
+sum_j Delta^j_i x_j - prod_{k<=d} (t_{w(k)} + lambda) x_i must vanish.
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
@@ -44,11 +46,13 @@ from typing import Optional
 from .linalg import integer_kernel, scaled_inverse
 from .poly import (
     LAMBDA,
+    IncompletePointError,
     SparsePolynomial,
     normalize_plucker_indices,
     symbolic_minor,
     t_var,
     u_var,
+    var_name,
     x_var,
 )
 from .roots import subset_leq
@@ -272,7 +276,7 @@ class EquationSet:
 def p_polynomials(w: Permutation) -> EquationSet:
     """Bundle Pluecker + incidence (d, d+1) + cell data of w; the lambda
     coefficients P_{w,indices,s} are built only when ``p_equations`` is read,
-    since ``check_point_families`` checks them through their cached factors.
+    since ``check_point_families`` checks them on the point's own numbers.
     """
     n = w.n
     check_size("equation generation", n)
@@ -354,6 +358,16 @@ def _sample_cell_point(
     satisfies the given diagonal identifications t_p = t_q.  Every step runs
     on integers.
 
+    With g = b1 P_w b2 and Y = b1^{-1} psi b1, g^{-1} psi g is
+    b2^{-1} (P_w^{-1} Y P_w) b2, which is upper triangular iff P_w^{-1} Y P_w
+    is, i.e. iff Y[k][l] = 0 for every k < l with w^{-1}(k) > w^{-1}(l) (Y is
+    upper triangular already).  So the constraints are these l(w) entries of
+    Y, with rows from adj(b1) = D b1^{-1}, in place of the n(n-1)/2 strictly
+    lower entries of g^{-1} psi g.  Both row sets cut out b cap Ad(g)b, so they
+    share the reduced row echelon form, and ``integer_kernel`` returns the
+    same basis up to its common denominator, which the primitive scaling
+    below takes out.
+
     The kernel combination v over the denominator D of ``integer_kernel``
     spans the same line as psi = v / D; every check is invariant under
     positive scaling of psi, so psi is v / (gcd(v) sign(D)), its positive
@@ -370,16 +384,19 @@ def _sample_cell_point(
         for row in b1_pw
     ]
     plucker_values = _leading_minors(g)
-    # adj = D g^{-1}; scaling each constraint row by D keeps the kernel
-    adj, _ = scaled_inverse(g)
-    unknowns = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
-    col_of = {kl: idx for idx, kl in enumerate(unknowns)}
+    # adj = D b1^{-1}; scaling each constraint row by D keeps the kernel
+    adj, _ = scaled_inverse(b1)
+    position = {cell_w(j): j for j in range(1, n + 1)}  # w^{-1}
+    unknowns = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
+    col_of = {ab: idx for idx, ab in enumerate(unknowns)}
     constraint_rows = []
-    for p in range(n):
-        for q in range(p):
-            # strictly-lower entry (p, q) of g^{-1} E_{kl} g is
-            # g^{-1}[p][k-1] * g[l-1][q]
-            constraint_rows.append([adj[p][k - 1] * g[l - 1][q] for (k, l) in unknowns])
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            if position[k] > position[l]:
+                # entry (k, l) of b1^{-1} E_{ab} b1 is b1^{-1}[k][a] * b1[b][l]
+                constraint_rows.append(
+                    [adj[k - 1][a - 1] * b1[b - 1][l - 1] for (a, b) in unknowns]
+                )
     for p, q in diag_pairs:
         row = [0] * len(unknowns)
         row[col_of[(p, p)]] = 1
@@ -390,8 +407,8 @@ def _sample_cell_point(
     v = [sum(c * vec[idx] for c, vec in zip(combo, basis)) for idx in range(len(unknowns))]
     scale = (gcd(*v) or 1) * (1 if denominator > 0 else -1)
     psi = [[0] * n for _ in range(n)]
-    for (k, l), entry in zip(unknowns, v):
-        psi[k - 1][l - 1] = entry // scale
+    for (a, b), entry in zip(unknowns, v):
+        psi[a - 1][b - 1] = entry // scale
     return plucker_values, tuple(tuple(row) for row in psi)
 
 
@@ -402,10 +419,10 @@ def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
     so the flag of g lies in the cell; the Pluecker coordinates are the
     leading-column minors of g, computed level by level by Laplace
     expansion.  Then solve the exact linear system keeping psi
-    upper-triangular with g^{-1} psi g upper-triangular: its rows are built
-    from adj(g) = D g^{-1}, which has the same kernel, and a random integer
-    combination of the kernel basis, made primitive, gives psi.  Pluecker
-    values and psi entries are ``int``.
+    upper-triangular with g^{-1} psi g upper-triangular: its l(w) rows say
+    that b1^{-1} psi b1 vanishes at the inversions of w, built from
+    adj(b1) = D b1^{-1}, and a random integer combination of the kernel basis,
+    made primitive, gives psi.  Pluecker values and psi entries are ``int``.
     """
     return _sample_cell_point(w, (), seed)
 
@@ -441,24 +458,113 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     return point
 
 
+@lru_cache(maxsize=None)
+def _laplace_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
+    """(sign, c, diagonal, sub_cols) for every term of the shifted minor
+    Delta^cols_rows(A + lambda id) of an upper-triangular A, expanded along
+    its last row r = rows[-1]: the entry (r, c) is A[r][c] + lambda when
+    ``diagonal`` (c = r) and A[r][c] otherwise, times the sign and the minor
+    on rows[:-1] x sub_cols.  Terms whose entry lies below the diagonal, or
+    whose minor vanishes by triangularity (rows[:-1] not below sub_cols
+    componentwise), are left out."""
+    r, sub_rows = rows[-1], rows[:-1]
+    terms = []
+    for pos, c in enumerate(cols):
+        sub_cols = cols[:pos] + cols[pos + 1 :]
+        if c >= r and all(i <= j for i, j in zip(sub_rows, sub_cols)):
+            sign = -1 if (len(rows) - 1 + pos) % 2 else 1
+            terms.append((sign, c, c == r, sub_cols))
+    return tuple(terms)
+
+
+@lru_cache(maxsize=None)
+def _lower_sets(cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
+    """The rows <= cols componentwise, the only rows with a nonzero shifted
+    minor Delta^cols_rows of an upper-triangular matrix."""
+    return tuple(
+        rows
+        for rows in itertools.combinations(range(1, cols[-1] + 1), len(cols))
+        if all(i <= j for i, j in zip(rows, cols))
+    )
+
+
+def _upper_matrix(n: int, point: dict) -> list[list]:
+    """The point's upper-triangular (u, t) matrix, 1-based: A[k][l] is u_{kl}
+    above the diagonal and t_k on it."""
+    a = [[0] * (n + 1) for _ in range(n + 1)]
+    try:
+        for k in range(1, n + 1):
+            a[k][k] = point[t_var(k)]
+            for l in range(k + 1, n + 1):
+                a[k][l] = point[u_var(k, l)]
+    except KeyError as missing:
+        raise IncompletePointError(f"no value for variable {var_name(missing.args[0])}")
+    return a
+
+
+def _shifted_minors(a: list[list]):
+    """Delta^cols_rows(A + lambda id) as its list of lambda-coefficients,
+    lowest first and len(rows) + 1 long, memoised for this A."""
+    memo: dict = {}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
+        key = (rows, cols)
+        out = memo.get(key)
+        if out is None:
+            if not rows:
+                out = [1]
+            else:
+                row, sub_rows = a[rows[-1]], rows[:-1]
+                out = [0] * (len(rows) + 1)
+                for sign, c, diagonal, sub_cols in _laplace_terms(rows, cols):
+                    sub = minor(sub_rows, sub_cols)
+                    entry = sign * row[c]
+                    if entry:
+                        for s, m in enumerate(sub):
+                            out[s] += entry * m
+                    if diagonal:
+                        for s, m in enumerate(sub, start=1):
+                            out[s] += sign * m
+            memo[key] = out
+        return out
+
+    return minor
+
+
 def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool:
-    """Whether every P_{w,I,s} vanishes at the point, tested from the index as
-    sum_J M_{I,J,s}(pt) x_J(pt) == e_{d-s}(t_{w(1..d)})(pt) x_I(pt) over the J
-    in the support of dimension d, those with x_J != 0: the terms left out
-    are the monomials of C_{I,s} whose first factor is 0, which ``evaluate``
-    skips as well."""
+    """Whether every P_{w,I,s} vanishes at the point, tested on the point's
+    own numbers: with A its (u, t) matrix, the lambda^s coefficient of
+    sum_J Delta^J_I(A + lambda id) x_J must equal that of
+    prod_{k<=d} (t_{w(k)} + lambda) x_I for every s < d.  J runs over the
+    support of dimension d (the x_J != 0) above I, since Delta^J_I vanishes
+    unless I <= J componentwise.  The lambda^d coefficient of the sum is x_I
+    by construction; a different value is a bug and raises."""
     n = eqs.n
+    a = _upper_matrix(n, point)
+    minor = _shifted_minors(a)
     for d, support in enumerate(supports, start=1):
-        diagonal = [
-            e.evaluate(point) for e in _subset_product_coefficients(_prefix_set(eqs.w, d))[:d]
-        ]
-        for indices, _ in _x_vars(n, d):
-            index = _colinearity_index(n, indices)
-            terms = [(index[tup], x_j) for tup, x_j in support.items() if tup in index]
+        diagonal = [1]
+        for k in _prefix_set(eqs.w, d):
+            t = a[k][k]
+            diagonal = [t * c + lower for c, lower in zip(diagonal + [0], [0] + diagonal)]
+        totals: dict = {}
+        for tup, x_j in support.items():
+            for indices in _lower_sets(tup):
+                terms = [m * x_j for m in minor(indices, tup)]
+                total = totals.get(indices)
+                totals[indices] = terms if total is None else [
+                    acc + term for acc, term in zip(total, terms)
+                ]
+        # an I that no J of the support lies above has a zero sum and x_I = 0
+        for indices, total in totals.items():
             x_i = support.get(indices, 0)
-            for s in range(d):
-                if sum(m[s].evaluate(point) * x_j for m, x_j in terms) != diagonal[s] * x_i:
-                    return False
+            if total != [e * x_i for e in diagonal]:
+                if total[d] != x_i:
+                    raise VerificationFailedError(
+                        f"the lambda^{d} coefficient of the colinearity sum of {indices} is "
+                        f"{total[d]}, not x_{indices} = {x_i}"
+                    )
+                return False
     return True
 
 
@@ -619,12 +725,17 @@ def verify_witness(
     4. the diagonal satisfies the fiber identifications of (w, w'),
     5. t_a != t_b, so the extra closure equation fails at the point.
 
+    (a, b) must be a separated hit of (w, w'), or ``ValueError`` is raised:
+    for any other pair the checks would pass without refuting anything.
     A failure of checks 1-4 raises: the construction guarantees them, so a
     failure is a bug.  Check 5 may legitimately fail for a custom diagonal.
     """
     n = w.n
     check_size("equation generation", n)
     _check_ab(n, a, b)
+    if (a, b) not in {(hit.a, hit.b) for hit in separated_hits(w, w_prime)}:
+        pair = f"({w.to_string()}, {w_prime.to_string()})"
+        raise ValueError(f"(a, b) = ({a}, {b}) is not a separated hit of {pair}")
     t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
     if len(t) != n:
         raise ValueError(f"the diagonal needs n = {n} entries, got {len(t)}")

@@ -333,9 +333,12 @@ def _seeded_bad_pairs(n, count, seed):
 
 
 class TestFactoredPCheck:
-    """check_point_families tests the P-family as C_{I,s}(pt) = e_{d-s}(pt) x_I(pt)
-    from cached w-independent factors; it must agree with evaluating the
-    materialised p_equations, on members and non-members alike."""
+    """check_point_families tests the P-family on the point's own numbers:
+    sum_J Delta^J_I(A + lambda) x_J = prod_{k<=d} (t_{w(k)} + lambda) x_I
+    coefficient by coefficient, with the shifted minors of the point's (u, t)
+    matrix A as lists of numbers and no polynomial built; it must agree with
+    evaluating the materialised p_equations, on members and non-members
+    alike."""
 
     S5_CELLS = ("12345", "54321", "42513", "35142", "21543", "31452")
     S6_CELLS = ("123456", "653421", "351624", "426153", "214365", "246135")
@@ -456,6 +459,42 @@ class TestFactoredPCheck:
         with pytest.raises(varieties.VerificationFailedError):
             varieties._colinearity_index.__wrapped__(n, indices)
 
+    @pytest.mark.parametrize(
+        "rows, cols", [((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2)), ((1, 2), (1, 3))],
+        ids=["drop-top", "add-1", "drop-inner", "add-inner"],
+    )
+    def test_flipped_diagonal_flag_trips_the_check(self, monkeypatch, rows, cols):
+        """The lambda^d coefficient of sum_J Delta^J_I x_J must be x_I; a
+        Laplace term with its diagonal flag flipped breaks that at a dense
+        point, where every x below the lead of the longest cell is nonzero."""
+        w = P("654321")
+        eqs = p_polynomials(w)
+        point = self.sample(w, 5)
+        terms = varieties._laplace_terms
+
+        def flipped(rows_, cols_):
+            out = terms(rows_, cols_)
+            if (rows_, cols_) != (rows, cols):
+                return out
+            (sign, c, diagonal, sub_cols), *rest = out
+            return ((sign, c, not diagonal, sub_cols), *rest)
+
+        assert _factored_p_check(eqs, point) is True
+        monkeypatch.setattr(varieties, "_laplace_terms", flipped)
+        with pytest.raises(varieties.VerificationFailedError):
+            check_point_families(eqs, point)
+
+    def test_point_path_builds_no_symbolic_minor(self):
+        """Checking a sampled point or a witness reads the point's numbers
+        only: neither the symbolic minors nor the colinearity index is built."""
+        varieties.symbolic_minor.cache_clear()
+        varieties._colinearity_index.cache_clear()
+        w = P("563421")
+        assert all(check_point_families(p_polynomials(w), self.sample(w, 3)).values())
+        assert verify_witness(P("126453"), P("123546"), 5, 6).ok
+        assert varieties.symbolic_minor.cache_info().misses == 0
+        assert varieties._colinearity_index.cache_info().misses == 0
+
     def test_undoctored_coefficients_pass_the_check(self):
         for n in (4, 5, 6):
             for d in range(1, n):
@@ -466,9 +505,9 @@ class TestFactoredPCheck:
 
 
 class TestIndexedPCheck:
-    """The P-check sums M_{I,J,s}(pt) x_J over the point's x-support only; it
-    must equal evaluating the materialised p_equations at every point, member
-    or not."""
+    """The P-check sums Delta^J_I(A + lambda) x_J over the point's x-support
+    only; it must equal evaluating the materialised p_equations at every
+    point, member or not."""
 
     @staticmethod
     def non_members(point):
@@ -761,7 +800,11 @@ class TestSamplerAgainstFractionReference:
                 assert typed(sample_point_on_Vw(w, seed)) == typed(primitive(reference_sample(w, (), seed)))
 
     def test_fiber_pairs(self):
-        for w, wp in ((P("4231"), P("1324")), (P("4321"), P("2143"))):
+        """The identifications t_p = t_q join the rows from b1 in the sampler
+        and the rows from g^{-1} in the reference."""
+        pairs = [(P("4231"), P("1324")), (P("4321"), P("2143"))]
+        pairs += _seeded_bad_pairs(5, 4, seed=31) + _seeded_bad_pairs(6, 3, seed=32)
+        for w, wp in pairs:
             for seed in range(100, 104):
                 got = sample_point_on_fiber(w, wp, seed)
                 assert typed(got) == typed(primitive(reference_sample(wp, fiber_equations(w, wp), seed)))
@@ -832,6 +875,15 @@ class TestWitness:
     def test_diagonal_of_wrong_length_rejected(self, diagonal):
         with pytest.raises(ValueError, match="needs n = 4 entries"):
             verify_witness(P("4231"), P("1324"), 1, 2, diagonal=diagonal)
+
+    @pytest.mark.parametrize(
+        "w, wp, a, b", [("4231", "1324", 2, 1), ("653421", "124356", 1, 2)],
+        ids=["reversed-hit", "pair-without-hits"],
+    )
+    def test_non_hit_rejected(self, w, wp, a, b):
+        """Checks at an (a, b) that is no separated hit would refute nothing."""
+        with pytest.raises(ValueError, match=r"is not a separated hit of"):
+            verify_witness(P(w), P(wp), a, b)
 
     def test_same_orbit_rejected(self):
         with pytest.raises(ValueError):
