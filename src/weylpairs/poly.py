@@ -14,6 +14,14 @@ arithmetic is many times faster.  Since ``str``, ``hash`` and ``==`` agree on
 comparisons.  ``evaluate`` multiplies and adds the numbers as they come, so
 an integer polynomial evaluates to an ``int`` at an ``int`` point; a
 ``Fraction`` coordinate gives a ``Fraction``.
+
+The last section is the library's one shifted-minor engine,
+``_shifted_minors``: Delta^cols_rows(A + lambda id) of an upper-triangular A
+as its lambda-coefficients, by memoised Laplace expansion.  A may hold
+numbers (a point's (u, t) matrix) or polynomials (the generic matrix, behind
+``symbolic_minor`` and the emitted P-equations).  Filling the memo checks that
+the lambda^k coefficient of a k x k minor is [rows = cols], or raises
+``VerificationFailedError``.
 """
 
 from __future__ import annotations
@@ -22,8 +30,6 @@ import re
 from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Mapping, Optional
-
-from .roots import subset_leq
 
 Variable = tuple  # ("x", (i1,...,id)) | ("u", (k, l)) | ("t", (m,)) | ("lam", ())
 
@@ -379,8 +385,91 @@ def parse_polynomial(text: str) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# symbolic minors of the generic upper-triangular matrix
+# shifted minors of an upper-triangular matrix, on numbers or polynomials
 # ---------------------------------------------------------------------------
+
+class VerificationFailedError(RuntimeError):
+    """A structural self-check failed; signals a bug, not a math outcome."""
+
+
+@lru_cache(maxsize=None)
+def _laplace_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
+    """(sign, c, diagonal, sub_cols) for every term of the shifted minor
+    Delta^cols_rows(A + lambda id) of an upper-triangular A, expanded along
+    its last row r = rows[-1]: the entry (r, c) is A[r][c] + lambda when
+    ``diagonal`` (c = r) and A[r][c] otherwise, times the sign and the minor
+    on rows[:-1] x sub_cols.  Terms whose entry lies below the diagonal, or
+    whose minor vanishes by triangularity (rows[:-1] not below sub_cols
+    componentwise), are left out."""
+    r, sub_rows = rows[-1], rows[:-1]
+    terms = []
+    for pos, c in enumerate(cols):
+        sub_cols = cols[:pos] + cols[pos + 1 :]
+        if c >= r and all(i <= j for i, j in zip(sub_rows, sub_cols)):
+            sign = -1 if (len(rows) - 1 + pos) % 2 else 1
+            terms.append((sign, c, c == r, sub_cols))
+    return tuple(terms)
+
+
+def _upper_matrix(n: int, point: Mapping) -> list[list]:
+    """The point's upper-triangular (u, t) matrix, 1-based: A[k][l] is u_{kl}
+    above the diagonal and t_k on it."""
+    a = [[0] * (n + 1) for _ in range(n + 1)]
+    try:
+        for k in range(1, n + 1):
+            a[k][k] = point[t_var(k)]
+            for l in range(k + 1, n + 1):
+                a[k][l] = point[u_var(k, l)]
+    except KeyError as missing:
+        raise IncompletePointError(f"no value for variable {var_name(missing.args[0])}")
+    return a
+
+
+def _shifted_minors(a: list[list]):
+    """Delta^cols_rows(A + lambda id) as its list of lambda-coefficients,
+    lowest first and len(rows) + 1 long, memoised for this A, each minor's
+    top coefficient checked.  A principal minor Delta^S_S is
+    prod_{k in S} (A[k][k] + lambda), as A is upper triangular."""
+    memo: dict = {}
+
+    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
+        key = (rows, cols)
+        out = memo.get(key)
+        if out is None:
+            if not rows:
+                out = [1]
+            else:
+                row, sub_rows = a[rows[-1]], rows[:-1]
+                out = [0] * (len(rows) + 1)
+                for sign, c, diagonal, sub_cols in _laplace_terms(rows, cols):
+                    sub = minor(sub_rows, sub_cols)
+                    entry = sign * row[c]
+                    if entry:
+                        for s, m in enumerate(sub):
+                            out[s] += entry * m
+                    if diagonal:
+                        for s, m in enumerate(sub, start=1):
+                            out[s] += sign * m
+                if out[-1] != (rows == cols):
+                    raise VerificationFailedError(
+                        f"the lambda^{len(rows)} coefficient of the shifted minor "
+                        f"{rows} x {cols} is {out[-1]}, not {int(rows == cols)}"
+                    )
+            memo[key] = out
+        return out
+
+    return minor
+
+
+@lru_cache(maxsize=None)
+def _generic_minors(n: int):
+    """The memoised shifted minors of the generic upper-triangular matrix,
+    whose entries are the variables u_{kl} and t_k; their lambda-coefficients
+    are polynomials, or plain ``int``s."""
+    names = [t_var(k) for k in range(1, n + 1)]
+    names += [u_var(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
+    return _shifted_minors(_upper_matrix(n, {v: SparsePolynomial.variable(v) for v in names}))
+
 
 @lru_cache(maxsize=None)
 def symbolic_minor(
@@ -390,8 +479,8 @@ def symbolic_minor(
     columns: entries u_{kl} above the diagonal, t_m (+ lambda when shifted) on
     it, zero below.  Vanishes unless rows <= cols componentwise.
 
-    Expansion runs along the sparsest (last) row; triangularity prunes most
-    branches immediately.
+    Read off the lambda-coefficients of ``_generic_minors(n)``: the lambda^0
+    one, or sum_s c_s lambda^s when shifted.
     """
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
@@ -399,26 +488,10 @@ def symbolic_minor(
     for seq in (rows, cols):
         if list(seq) != sorted(set(seq)) or (seq and not (1 <= seq[0] and seq[-1] <= n)):
             raise ValueError(f"indices must be strictly increasing in 1..{n}: {seq}")
-    if not rows:
-        return SparsePolynomial.constant(1)
-    if not subset_leq(rows, cols):
-        return SparsePolynomial.zero()
-    r = rows[-1]
-    total = SparsePolynomial.zero()
-    for pos, c in enumerate(cols):
-        if c < r:
-            continue
-        if c == r:
-            entry = SparsePolynomial.variable(t_var(r))
-            if shift_lambda:
-                entry = entry + SparsePolynomial.variable(LAMBDA)
-        else:
-            entry = SparsePolynomial.variable(u_var(r, c))
-        sub = symbolic_minor(
-            n, rows[:-1], cols[:pos] + cols[pos + 1 :], shift_lambda
-        )
-        if sub.is_zero:
-            continue
-        sign = (-1) ** ((len(rows) - 1) + pos)
-        total = total + entry * sign * sub
-    return total
+    coeffs = _generic_minors(n)(rows, cols)
+    if not shift_lambda:
+        return _coerce(coeffs[0])
+    return sum(
+        (c * SparsePolynomial.variable(LAMBDA, s) for s, c in enumerate(coeffs)),
+        SparsePolynomial.zero(),
+    )

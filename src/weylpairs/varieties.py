@@ -20,13 +20,17 @@ witness point against every equation family with exact arithmetic.
 The lambda^s coefficient of P_{w,i} is P_{w,i,s} = C_{i,s} - e_{d-s}(t_{w(1..d)}) x_i,
 where C_{i,s} = sum_j M_{i,j,s} x_j is the lambda^s coefficient of the
 colinearity sum, M_{i,j,s} that of Delta^j_i(u + lambda id), and e the
-elementary symmetric polynomial.  These polynomials are built only on request
-(``EquationSet.p_equations``).  A point is checked against the P-family on its
-own numbers instead, without any polynomial: the shifted minors
-Delta^j_i(A + lambda id) of its (u, t) matrix A are computed as lists of
-lambda-coefficients by Laplace expansion, memoised per point and only for the
-j with x_j(pt) != 0, and every coefficient of
+elementary symmetric polynomial.  Every shifted minor comes from one engine,
+``poly._shifted_minors``: a memoised Laplace expansion that returns
+Delta^j_i(A + lambda id) as its list of lambda-coefficients, for a matrix A of
+numbers or of polynomials, and checks each minor's top coefficient as it
+goes.  On the generic matrix it gives the M_{i,j,s}; ``_colinearity_index``
+checks their degrees, and the polynomials P_{w,i,s} are built from them only
+on request (``EquationSet.p_equations``).  A point is checked on its own
+numbers instead, without any polynomial: the engine runs on the point's (u, t)
+matrix, only for the j with x_j(pt) != 0, and every coefficient of
 sum_j Delta^j_i x_j - prod_{k<=d} (t_{w(k)} + lambda) x_i must vanish.
+``additional_equation_holds`` compares its identity at each sample the same way.
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
@@ -45,14 +49,14 @@ from typing import Optional
 
 from .linalg import integer_kernel, scaled_inverse
 from .poly import (
-    LAMBDA,
-    IncompletePointError,
     SparsePolynomial,
+    VerificationFailedError,
+    _generic_minors,
+    _shifted_minors,
+    _upper_matrix,
     normalize_plucker_indices,
-    symbolic_minor,
     t_var,
     u_var,
-    var_name,
     x_var,
 )
 from .roots import subset_leq
@@ -62,20 +66,15 @@ DEFAULT_SEED = 42
 COEFF_RANGE = 9  # random integer coordinates are drawn from [-9, 9]
 
 
-class VerificationFailedError(RuntimeError):
-    """A witness failed a structural check; signals a bug, not a math outcome."""
-
-
 class PreconditionError(ValueError):
     """Lemma hypotheses violated by the caller."""
 
 
-def _signed_x(indices) -> SparsePolynomial:
-    """x variable for an arbitrary index sequence, with sign normalization."""
+def _x_at(point: dict, indices) -> int:
+    """x at an arbitrary index sequence: sign * x_sorted at the point, with
+    the sign of the sorting permutation, and 0 for a repeated index."""
     sign, sorted_idx = normalize_plucker_indices(indices)
-    if sign == 0:
-        return SparsePolynomial.zero()
-    return SparsePolynomial.variable(x_var(sorted_idx)) * sign
+    return sign * point[x_var(sorted_idx)] if sign else 0
 
 
 def _prefix_set(w: Permutation, d: int) -> tuple[int, ...]:
@@ -185,28 +184,28 @@ def _x_vars(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
 
 @lru_cache(maxsize=None)
 def _colinearity_index(n: int, indices: tuple[int, ...]) -> dict:
-    """J -> (M_{I,J,0}, ..., M_{I,J,d-1}) for every J with a nonzero shifted
-    minor Delta^J_I(u + lambda id), M_{I,J,s} being its lambda^s coefficient
-    and d = |I|.  Checked once for all w on the minors, and so on every
-    C_{I,s} = sum_J M_{I,J,s} x_J: the lambda^d coefficient is 1 for J = I and
-    0 otherwise and nothing is higher, so P_{w,I,s} exists for s < d only;
-    every monomial has degree d in (u, t, lambda), so M_{I,J,s} has
-    (u, t)-degree d - s, like e_{d-s}(t), and P_{w,I,s} is homogeneous."""
+    """J -> (M_{I,J,0}, ..., M_{I,J,d-1}) for every J >= I componentwise,
+    the J with a nonzero shifted minor Delta^J_I(u + lambda id), M_{I,J,s}
+    being its lambda^s coefficient and d = |I|.  The minors are the engine's
+    lists on the generic matrix, which has checked their lambda^d coefficient
+    (1 for J = I, 0 otherwise) and has no entry for a higher power, so
+    P_{w,I,s} exists for s < d only.  The check that needs polynomials runs
+    here, once for all w: M_{I,J,s} is homogeneous of (u, t)-degree d - s,
+    like e_{d-s}(t), so P_{w,I,s} is homogeneous."""
     d = len(indices)
+    minor = _generic_minors(n)
     index = {}
     for tup, _ in _x_vars(n, d):
-        minor = symbolic_minor(n, indices, tup, shift_lambda=True)
-        if minor.is_zero:
+        if not subset_leq(indices, tup):
             continue
-        coeffs = minor.lambda_coefficients()
-        degree, top = len(coeffs) - 1, int(tup == indices)
-        coeffs += [SparsePolynomial.zero()] * (d - degree)
-        if degree > d or coeffs[d] != SparsePolynomial.constant(top) or minor.degrees() != {d}:
-            raise VerificationFailedError(
-                f"the shifted minor of {indices} x {tup} (n = {n}) has lambda degree {degree}, "
-                f"a lambda^{d} coefficient other than {top}, or a monomial of degree != {d}"
-            )
-        index[tup] = tuple(coeffs[:d])
+        coeffs = [SparsePolynomial.zero() + c for c in minor(indices, tup)[:d]]
+        for s, c in enumerate(coeffs):
+            if not c.degrees() <= {d - s}:
+                raise VerificationFailedError(
+                    f"the lambda^{s} coefficient of the shifted minor of {indices} x {tup} "
+                    f"(n = {n}) has a monomial of degree != {d - s}"
+                )
+        index[tup] = tuple(coeffs)
     return index
 
 
@@ -226,23 +225,6 @@ def _colinearity_sum(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial
     )
 
 
-@lru_cache(maxsize=None)
-def _subset_product(subset: tuple[int, ...]) -> SparsePolynomial:
-    """prod_{m in subset} (t_m + lambda)."""
-    out = SparsePolynomial.constant(1)
-    lam = SparsePolynomial.variable(LAMBDA)
-    for m in subset:
-        out = out * (SparsePolynomial.variable(t_var(m)) + lam)
-    return out
-
-
-@lru_cache(maxsize=None)
-def _subset_product_coefficients(subset: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """The lambda-coefficients of ``_subset_product(subset)``: entry s is the
-    elementary symmetric polynomial e_{|subset|-s} of those t_m."""
-    return tuple(_subset_product(subset).lambda_coefficients())
-
-
 @dataclass
 class EquationSet:
     """All equation families attached to the cell of one permutation."""
@@ -259,13 +241,14 @@ class EquationSet:
         1 <= d <= n-1 and 0 <= s <= d-1, built on first access.
 
         P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, the
-        w-independent C from ``_colinearity_sum`` and the e from the diagonal
-        product.
+        w-independent C from ``_colinearity_sum`` and the e from the
+        principal shifted minor prod_{k<=d} (t_{w(k)} + lambda).
         """
         n, w = self.n, self.w
         p_eqs = {}
         for d in range(1, n):
-            diagonal = _subset_product_coefficients(_prefix_set(w, d))
+            prefix = _prefix_set(w, d)
+            diagonal = _generic_minors(n)(prefix, prefix)
             for indices, x in _x_vars(n, d):
                 x_i = SparsePolynomial.variable(x)
                 for s, c in enumerate(_colinearity_sum(n, indices)):
@@ -459,25 +442,6 @@ def point_assignment(n: int, plucker_values: dict, psi) -> dict:
 
 
 @lru_cache(maxsize=None)
-def _laplace_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
-    """(sign, c, diagonal, sub_cols) for every term of the shifted minor
-    Delta^cols_rows(A + lambda id) of an upper-triangular A, expanded along
-    its last row r = rows[-1]: the entry (r, c) is A[r][c] + lambda when
-    ``diagonal`` (c = r) and A[r][c] otherwise, times the sign and the minor
-    on rows[:-1] x sub_cols.  Terms whose entry lies below the diagonal, or
-    whose minor vanishes by triangularity (rows[:-1] not below sub_cols
-    componentwise), are left out."""
-    r, sub_rows = rows[-1], rows[:-1]
-    terms = []
-    for pos, c in enumerate(cols):
-        sub_cols = cols[:pos] + cols[pos + 1 :]
-        if c >= r and all(i <= j for i, j in zip(sub_rows, sub_cols)):
-            sign = -1 if (len(rows) - 1 + pos) % 2 else 1
-            terms.append((sign, c, c == r, sub_cols))
-    return tuple(terms)
-
-
-@lru_cache(maxsize=None)
 def _lower_sets(cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     """The rows <= cols componentwise, the only rows with a nonzero shifted
     minor Delta^cols_rows of an upper-triangular matrix."""
@@ -488,65 +452,20 @@ def _lower_sets(cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
     )
 
 
-def _upper_matrix(n: int, point: dict) -> list[list]:
-    """The point's upper-triangular (u, t) matrix, 1-based: A[k][l] is u_{kl}
-    above the diagonal and t_k on it."""
-    a = [[0] * (n + 1) for _ in range(n + 1)]
-    try:
-        for k in range(1, n + 1):
-            a[k][k] = point[t_var(k)]
-            for l in range(k + 1, n + 1):
-                a[k][l] = point[u_var(k, l)]
-    except KeyError as missing:
-        raise IncompletePointError(f"no value for variable {var_name(missing.args[0])}")
-    return a
-
-
-def _shifted_minors(a: list[list]):
-    """Delta^cols_rows(A + lambda id) as its list of lambda-coefficients,
-    lowest first and len(rows) + 1 long, memoised for this A."""
-    memo: dict = {}
-
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
-        key = (rows, cols)
-        out = memo.get(key)
-        if out is None:
-            if not rows:
-                out = [1]
-            else:
-                row, sub_rows = a[rows[-1]], rows[:-1]
-                out = [0] * (len(rows) + 1)
-                for sign, c, diagonal, sub_cols in _laplace_terms(rows, cols):
-                    sub = minor(sub_rows, sub_cols)
-                    entry = sign * row[c]
-                    if entry:
-                        for s, m in enumerate(sub):
-                            out[s] += entry * m
-                    if diagonal:
-                        for s, m in enumerate(sub, start=1):
-                            out[s] += sign * m
-            memo[key] = out
-        return out
-
-    return minor
-
-
 def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool:
     """Whether every P_{w,I,s} vanishes at the point, tested on the point's
     own numbers: with A its (u, t) matrix, the lambda^s coefficient of
     sum_J Delta^J_I(A + lambda id) x_J must equal that of
     prod_{k<=d} (t_{w(k)} + lambda) x_I for every s < d.  J runs over the
     support of dimension d (the x_J != 0) above I, since Delta^J_I vanishes
-    unless I <= J componentwise.  The lambda^d coefficient of the sum is x_I
-    by construction; a different value is a bug and raises."""
+    unless I <= J componentwise.  The engine checks each minor's top
+    coefficient as it computes it."""
     n = eqs.n
     a = _upper_matrix(n, point)
     minor = _shifted_minors(a)
     for d, support in enumerate(supports, start=1):
-        diagonal = [1]
-        for k in _prefix_set(eqs.w, d):
-            t = a[k][k]
-            diagonal = [t * c + lower for c, lower in zip(diagonal + [0], [0] + diagonal)]
+        prefix = _prefix_set(eqs.w, d)
+        diagonal = minor(prefix, prefix)  # prod_{k<=d} (t_{w(k)} + lambda)
         totals: dict = {}
         for tup, x_j in support.items():
             for indices in _lower_sets(tup):
@@ -559,11 +478,6 @@ def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool
         for indices, total in totals.items():
             x_i = support.get(indices, 0)
             if total != [e * x_i for e in diagonal]:
-                if total[d] != x_i:
-                    raise VerificationFailedError(
-                        f"the lambda^{d} coefficient of the colinearity sum of {indices} is "
-                        f"{total[d]}, not x_{indices} = {x_i}"
-                    )
                 return False
     return True
 
@@ -667,7 +581,7 @@ def additional_equation_scan(w: Permutation, w_prime: Permutation) -> Counterexa
     hits = separated_hits(w, w_prime)
     witness = None
     if hits:
-        witness = verify_witness(w, w_prime, hits[0].a, hits[0].b)
+        witness = _build_witness(w, w_prime, hits[0].a, hits[0].b)
         if not witness.ok:
             raise VerificationFailedError(
                 f"witness for ({w.to_string()}, {w_prime.to_string()}) failed"
@@ -730,12 +644,19 @@ def verify_witness(
     A failure of checks 1-4 raises: the construction guarantees them, so a
     failure is a bug.  Check 5 may legitimately fail for a custom diagonal.
     """
-    n = w.n
-    check_size("equation generation", n)
-    _check_ab(n, a, b)
+    check_size("equation generation", w.n)
+    _check_ab(w.n, a, b)
     if (a, b) not in {(hit.a, hit.b) for hit in separated_hits(w, w_prime)}:
         pair = f"({w.to_string()}, {w_prime.to_string()})"
         raise ValueError(f"(a, b) = ({a}, {b}) is not a separated hit of {pair}")
+    return _build_witness(w, w_prime, a, b, diagonal)
+
+
+def _build_witness(
+    w: Permutation, w_prime: Permutation, a: int, b: int, diagonal=None
+) -> WitnessVerification:
+    """``verify_witness`` for an (a, b) known to be a separated hit."""
+    n = w.n
     t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
     if len(t) != n:
         raise ValueError(f"the diagonal needs n = {n} entries, got {len(t)}")
@@ -768,10 +689,6 @@ def verify_witness(
 # ---------------------------------------------------------------------------
 # simplified incidence identities on sampled cell points
 # ---------------------------------------------------------------------------
-
-def _product_value(point: dict, indices):
-    return _signed_x(indices).evaluate(point)
-
 
 def _incidence_hypotheses(w: Permutation, q: int, b: int, j_set) -> tuple[int, ...]:
     n = w.n
@@ -814,8 +731,8 @@ def simplified_incidence_check(
     decided = False
     for s in range(samples):
         point = _cached_sample_assignment(w.one_line, seed + s)
-        lhs = _product_value(point, i_tuple + (a,)) * _product_value(point, j_tuple + (b,))
-        rhs_base = _product_value(point, i_tuple + (b,)) * _product_value(point, j_tuple + (a,))
+        lhs = _x_at(point, i_tuple + (a,)) * _x_at(point, j_tuple + (b,))
+        rhs_base = _x_at(point, i_tuple + (b,)) * _x_at(point, j_tuple + (a,))
         feasible = {sg for sg in feasible if lhs == sg * rhs_base}
         if lhs != 0 or rhs_base != 0:
             decided = True
@@ -865,16 +782,17 @@ def additional_equation_holds(
             return False
         signs[k_seq] = 1 if sign is None else sign  # undecided terms vanish anyway
     sigma_j = signs[j_tuple]
-    poly = SparsePolynomial.zero()
-    for k_seq, sigma_k in signs.items():
-        minor = symbolic_minor(
-            n, tuple(sorted(j_tuple + (b,))), tuple(sorted(k_seq + (b,))), shift_lambda=True
-        )
-        poly = poly + minor * _signed_x(k_seq + (a,)) * (sigma_j * sigma_k)
-    poly = poly - _subset_product(_prefix_set(w, q + 1)) * _signed_x(j_tuple + (a,))
-    coeffs = poly.lambda_coefficients()
+    rows, prefix = tuple(sorted(j_tuple + (b,))), _prefix_set(w, q + 1)
     for s in range(samples):
         point = _cached_sample_assignment(w.one_line, seed + s)
-        if any(c.evaluate(point) != 0 for c in coeffs):
+        minor = _shifted_minors(_upper_matrix(n, point))
+        total = [0] * (q + 2)
+        for k_seq, sigma_k in signs.items():
+            x_k = sigma_j * sigma_k * _x_at(point, k_seq + (a,))
+            if x_k:
+                for i, m in enumerate(minor(rows, tuple(sorted(k_seq + (b,))))):
+                    total[i] += m * x_k
+        x_j = _x_at(point, j_tuple + (a,))
+        if total != [e * x_j for e in minor(prefix, prefix)]:
             return False
     return True

@@ -1,6 +1,7 @@
 import itertools
 import sys
 from fractions import Fraction
+from functools import lru_cache
 from pathlib import Path
 
 import pytest
@@ -8,7 +9,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
-from weylpairs.poly import LAMBDA, SparsePolynomial, symbolic_minor, t_var, x_var  # noqa: E402
+from weylpairs.poly import LAMBDA, SparsePolynomial, t_var, u_var, x_var  # noqa: E402
+from weylpairs.roots import subset_leq  # noqa: E402
 from weylpairs.weyl import Permutation, reflection_group, symmetric_group  # noqa: E402
 
 
@@ -46,6 +48,32 @@ def fraction_det(m):
     return sign * rows[n - 1][n - 1]
 
 
+@lru_cache(maxsize=None)
+def reference_minor(n, rows, cols, shift_lambda=False):
+    """Minor of the symbolic upper-triangular matrix (u_{kl} above the
+    diagonal, t_m, plus lambda when shifted, on it) by recursive cofactor
+    expansion along the last row, independent of the library's engine."""
+    if not rows:
+        return SparsePolynomial.constant(1)
+    if not subset_leq(rows, cols):
+        return SparsePolynomial.zero()
+    r = rows[-1]
+    total = SparsePolynomial.zero()
+    for pos, c in enumerate(cols):
+        if c < r:
+            continue
+        if c == r:
+            entry = SparsePolynomial.variable(t_var(r))
+            if shift_lambda:
+                entry = entry + SparsePolynomial.variable(LAMBDA)
+        else:
+            entry = SparsePolynomial.variable(u_var(r, c))
+        sub = reference_minor(n, rows[:-1], cols[:pos] + cols[pos + 1 :], shift_lambda)
+        sign = (-1) ** ((len(rows) - 1) + pos)
+        total = total + entry * sign * sub
+    return total
+
+
 def reference_p_polynomial(w, indices):
     """P_{w,I}(lambda) from its definition: the sum over every d-subset J of
     the shifted minor Delta^J_I(u + lambda id) times x_J, minus
@@ -54,7 +82,7 @@ def reference_p_polynomial(w, indices):
     lam = SparsePolynomial.variable(LAMBDA)
     colinear = SparsePolynomial.zero()
     for tup in itertools.combinations(range(1, n + 1), d):
-        minor = symbolic_minor(n, indices, tup, shift_lambda=True)
+        minor = reference_minor(n, indices, tup, shift_lambda=True)
         colinear = colinear + minor * SparsePolynomial.variable(x_var(tup))
     diagonal = SparsePolynomial.constant(1)
     for k in range(1, d + 1):

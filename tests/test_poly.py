@@ -23,7 +23,7 @@ from weylpairs.poly import (
 from weylpairs.varieties import p_polynomials, point_assignment, sample_point_on_Vw
 from weylpairs.weyl import Permutation
 
-from conftest import fraction_det
+from conftest import fraction_det, reference_minor
 
 F = Fraction
 
@@ -294,14 +294,24 @@ class TestSymbolicMinor:
         with pytest.raises(ValueError):
             symbolic_minor(4, (1, 2), (1, 2, 3))
 
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_matches_numeric_determinant(self, n):
+    @pytest.mark.parametrize(
+        "n, shift_lambda",
+        [pytest.param(n, False, id=str(n)) for n in (2, 3, 4, 5)]
+        + [pytest.param(n, True, id=f"{n}-shifted") for n in (2, 3, 4, 5)],
+    )
+    def test_matches_numeric_determinant(self, n, shift_lambda):
+        """The engine on the generic matrix against the recursive cofactor
+        expansion, term for term, and against a Fraction determinant of
+        (A + lambda id) on rows x cols, lambda a random integer when shifted
+        and 0 otherwise."""
         rng = random.Random(5)
         for d in range(1, n + 1):
             for rows in itertools.combinations(range(1, n + 1), d):
                 for cols in itertools.combinations(range(1, n + 1), d):
-                    sym = symbolic_minor(n, rows, cols)
+                    sym = symbolic_minor(n, rows, cols, shift_lambda)
+                    assert sym == reference_minor(n, rows, cols, shift_lambda)
                     for _ in range(10):
+                        lam = rng.randint(-9, 9) if shift_lambda else 0
                         upper = [
                             [
                                 F(rng.randint(-9, 9)) if i <= j else F(0)
@@ -309,13 +319,13 @@ class TestSymbolicMinor:
                             ]
                             for i in range(n)
                         ]
-                        point = {}
+                        point = {LAMBDA: F(lam)}
                         for i in range(1, n + 1):
                             point[t_var(i)] = upper[i - 1][i - 1]
                             for j in range(i + 1, n + 1):
                                 point[u_var(i, j)] = upper[i - 1][j - 1]
                         numeric = fraction_det(
-                            [[upper[r - 1][c - 1] for c in cols] for r in rows]
+                            [[upper[r - 1][c - 1] + lam * (r == c) for c in cols] for r in rows]
                         )
                         assert sym.evaluate(point) == numeric
 

@@ -7,14 +7,17 @@ from math import gcd, lcm
 
 import pytest
 
+from weylpairs import poly as poly_module
 from weylpairs import varieties
 from weylpairs.pairs import enumerate_pairs
 from weylpairs.poly import (
     LAMBDA,
     IncompletePointError,
     SparsePolynomial,
+    VerificationFailedError,
     normalize_plucker_indices,
     t_var,
+    u_var,
     x_var,
 )
 from weylpairs.roots import subset_leq
@@ -209,8 +212,6 @@ class TestPPolynomials:
                     for k in range(1, 5):
                         point[t_var(k)] = F(rng.randint(-9, 9))
                         for l in range(k + 1, 5):
-                            from weylpairs.poly import u_var
-
                             point[u_var(k, l)] = F(rng.randint(-9, 9))
                     point[LAMBDA] = F(rng.randint(-9, 9))
                     assert poly.evaluate(point) == 0
@@ -438,25 +439,43 @@ class TestFactoredPCheck:
             with pytest.raises(expected):
                 check_point_families(eqs, partial)
 
-    @pytest.mark.parametrize("doctor", ["extra-lambda", "scaled-top", "inhomogeneous"])
+    @pytest.mark.parametrize("doctor", ["extra-top", "scaled-top", "inhomogeneous"])
     def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
+        """The engine checks the lambda^d coefficient of every shifted minor
+        of the generic matrix as it computes it, and ``_colinearity_index``
+        the (u, t)-degree d - s of the lambda^s ones.  The list of
+        coefficients has d + 1 entries, so a higher power of lambda cannot
+        arise."""
         n, indices = 4, (1, 3)
-        lam = SparsePolynomial.variable(LAMBDA)
-        # the shifted minor of indices x J, doctored by ``extra``
-        J, extra = {
-            "extra-lambda": (indices, lam**3),
-            "scaled-top": (indices, lam**2),
-            # (u, t)-degree 1 in the lambda^0 coefficient, which needs d - 0 = 2
-            "inhomogeneous": ((2, 3), SparsePolynomial.variable(t_var(1))),
-        }[doctor]
-        minor = varieties.symbolic_minor
+        if doctor == "inhomogeneous":
+            # t1 + 1 gives Delta^I_I a lambda^0 coefficient of (u, t)-degree 1
+            upper = poly_module._upper_matrix
 
-        def doctored(n_, rows, cols, shift_lambda=False):
-            out = minor(n_, rows, cols, shift_lambda)
-            return out + extra if (rows, cols, shift_lambda) == (indices, J, True) else out
+            def doctored_matrix(n_, point):
+                a = upper(n_, point)
+                a[1][1] = a[1][1] + 1
+                return a
 
-        monkeypatch.setattr(varieties, "symbolic_minor", doctored)
-        with pytest.raises(varieties.VerificationFailedError):
+            monkeypatch.setattr(poly_module, "_upper_matrix", doctored_matrix)
+        else:
+            # lambda^2 coefficient 2 for J = I, or nonzero for J = (1, 4) != I
+            cols = {"scaled-top": indices, "extra-top": (1, 4)}[doctor]
+            terms = poly_module._laplace_terms
+
+            def doctored(rows_, cols_):
+                out = terms(rows_, cols_)
+                if (rows_, cols_) != (indices, cols):
+                    return out
+                if doctor == "scaled-top":
+                    return out + out
+                (sign, c, diagonal, sub_cols), *rest = out
+                return ((sign, c, not diagonal, sub_cols), *rest)
+
+            monkeypatch.setattr(poly_module, "_laplace_terms", doctored)
+        # a fresh memo, so no minor computed before the doctoring is reused
+        monkeypatch.setattr(varieties, "_generic_minors", poly_module._generic_minors.__wrapped__)
+        message = "degree != 2" if doctor == "inhomogeneous" else "lambda\\^2 coefficient"
+        with pytest.raises(VerificationFailedError, match=message):
             varieties._colinearity_index.__wrapped__(n, indices)
 
     @pytest.mark.parametrize(
@@ -464,13 +483,14 @@ class TestFactoredPCheck:
         ids=["drop-top", "add-1", "drop-inner", "add-inner"],
     )
     def test_flipped_diagonal_flag_trips_the_check(self, monkeypatch, rows, cols):
-        """The lambda^d coefficient of sum_J Delta^J_I x_J must be x_I; a
-        Laplace term with its diagonal flag flipped breaks that at a dense
-        point, where every x below the lead of the longest cell is nonzero."""
+        """The lambda^k coefficient of a k x k shifted minor must be 1 when
+        rows = cols and 0 otherwise; a Laplace term with its diagonal flag
+        flipped breaks that at a dense point, where every x below the lead of
+        the longest cell is nonzero and every minor below it is computed."""
         w = P("654321")
         eqs = p_polynomials(w)
         point = self.sample(w, 5)
-        terms = varieties._laplace_terms
+        terms = poly_module._laplace_terms
 
         def flipped(rows_, cols_):
             out = terms(rows_, cols_)
@@ -480,19 +500,21 @@ class TestFactoredPCheck:
             return ((sign, c, not diagonal, sub_cols), *rest)
 
         assert _factored_p_check(eqs, point) is True
-        monkeypatch.setattr(varieties, "_laplace_terms", flipped)
-        with pytest.raises(varieties.VerificationFailedError):
+        monkeypatch.setattr(poly_module, "_laplace_terms", flipped)
+        with pytest.raises(VerificationFailedError):
             check_point_families(eqs, point)
 
     def test_point_path_builds_no_symbolic_minor(self):
         """Checking a sampled point or a witness reads the point's numbers
         only: neither the symbolic minors nor the colinearity index is built."""
-        varieties.symbolic_minor.cache_clear()
+        poly_module.symbolic_minor.cache_clear()
+        poly_module._generic_minors.cache_clear()
         varieties._colinearity_index.cache_clear()
         w = P("563421")
         assert all(check_point_families(p_polynomials(w), self.sample(w, 3)).values())
         assert verify_witness(P("126453"), P("123546"), 5, 6).ok
-        assert varieties.symbolic_minor.cache_info().misses == 0
+        assert poly_module.symbolic_minor.cache_info().misses == 0
+        assert poly_module._generic_minors.cache_info().misses == 0
         assert varieties._colinearity_index.cache_info().misses == 0
 
     def test_undoctored_coefficients_pass_the_check(self):
@@ -931,6 +953,22 @@ class TestSimplifiedIncidence:
             simplified_incidence_check(P("4231"), 1, 4, (2,), 1, samples=samples)
         with pytest.raises(ValueError, match="samples must be at least 1"):
             additional_equation_holds(P("4231"), 1, 4, (2,), 1, samples=samples)
+
+    @pytest.mark.parametrize("var", [u_var(3, 4), t_var(3), t_var(4)], ids=["u34", "t3", "t4"])
+    def test_additional_equation_fails_off_the_cell(self, monkeypatch, var):
+        """One (u, t) coordinate of every sample raised by 1: the x-values, and
+        so the incidence signs, stay as they were, but the minor identity of
+        2413 at (q, b, J, a) = (1, 2, {3}, 1) fails."""
+        w = P("2413")
+        assert additional_equation_holds(w, 1, 2, (3,), 1, samples=3)
+        sample = varieties._cached_sample_assignment
+
+        def moved(one_line, seed):
+            point = sample(one_line, seed)
+            return {**point, var: point[var] + 1}
+
+        monkeypatch.setattr(varieties, "_cached_sample_assignment", moved)
+        assert additional_equation_holds(w, 1, 2, (3,), 1, samples=3) is False
 
     def test_longest_element_configurations(self):
         # no vanishing cell variables: every admissible configuration is the
