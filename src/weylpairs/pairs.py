@@ -19,9 +19,10 @@ The four agree everywhere; the test suite checks this exhaustively.
 from __future__ import annotations
 
 import itertools
-from bisect import insort
 from dataclasses import dataclass
-from typing import Iterator, Optional
+from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterator, Optional
 
 from .weyl import (
     InternalInvariantError,
@@ -106,59 +107,72 @@ def _leq_indices(guarded: list[int], guard: int, i: int) -> list[int]:
     return [j for j in range(i, len(guarded)) if (guarded[j] - u) & guard == guard]
 
 
-def _positions(t) -> list[int]:
-    pos = [0] * (len(t) + 1)
-    for idx, v in enumerate(t):
-        pos[v] = idx + 1
-    return pos
+@lru_cache(maxsize=None)
+def _prefix_fields(t) -> tuple[tuple[int, ...], Callable[[tuple], tuple], int]:
+    """Packed box counts of the one-line tuple t of S_n, in n - 1 fields that
+    each hold a count 0..n-1 under a guard bit: ``fields[v]`` has a 1 in
+    every field p >= pos_t(v) - 1, so field p of a sum of them counts the
+    values at positions <= p + 1.  Returns the fields, a map from u to the
+    one-line tuple of u t^{-1} (an itemgetter; ``tuple`` in S_1, where one
+    index would return the item) and the guard mask."""
+    n = len(t)
+    width = (n - 1).bit_length() + 1
+    ones = sum(1 << width * p for p in range(n - 1))
+    inverse = sorted(range(n), key=t.__getitem__)
+    fields = (0, *(ones >> width * idx << width * idx for idx in inverse))
+    return fields, (itemgetter(*inverse) if n > 1 else tuple), ones << width - 1
+
+
+@lru_cache(maxsize=None)
+def _orbit_split(sigma: tuple[int, ...]) -> tuple:
+    """The nontrivial orbits of sigma, each as (orbit ascending, its values
+    but the minimum descending), or () when fewer than two are nontrivial."""
+    seen = [False] * (len(sigma) + 1)
+    orbits = []
+    for start in range(1, len(sigma) + 1):
+        orbit, v = [], start
+        while not seen[v]:
+            seen[v] = True
+            orbit.append(v)
+            v = sigma[v - 1]
+        if len(orbit) > 1:
+            orbits.append((tuple(sorted(orbit)), tuple(sorted(orbit, reverse=True)[:-1])))
+    return tuple(orbits) if len(orbits) > 1 else ()
 
 
 def _box_violation(t1, t2) -> Optional[tuple]:
     """First orbit of w1 w2^{-1} with a box-count failure, as (orbit, i, j),
     for a Bruhat-comparable pair w1 <= w2."""
-    return _orbit_violation(t1, _positions(t1), _positions(t2))
+    (fields1, _, guard), (fields2, times_inverse2, _) = map(_prefix_fields, (t1, t2))
+    return _orbit_violation(t1, fields1, fields2, times_inverse2, guard)
 
 
-def _orbit_violation(t1, pos1, pos2) -> Optional[tuple]:
-    """``_box_violation`` for w1 = t1, given the positions of the values in
-    w1 and in w2 (``_positions``).
+def _orbit_violation(t1, fields1, fields2, times_inverse2, guard) -> Optional[tuple]:
+    """``_box_violation`` for w1 = t1, given ``_prefix_fields`` of w1 and w2.
 
-    For each nontrivial orbit of values, insert positions in decreasing value
-    order; the restricted counts w1[i,j]_orbit <= w2[i,j]_orbit for all i hold
-    iff the k-th smallest w1-position never precedes the k-th smallest
-    w2-position.  The orbit's minimum is never inserted: w1 and w2 hold a
-    whole orbit at the same set of positions, so the last step cannot fail.
+    For each nontrivial orbit of sigma = w1 w2^{-1}, sum the fields of its
+    values in decreasing value order, a for w1 and b for w2: the counts
+    w1[i,j]_orbit <= w2[i,j]_orbit hold for all i iff no field of a exceeds
+    that of b.  From b = guard mask, each field of b - a holds guard + (w2
+    count) - (w1 count) >= 1, so no borrow crosses a field and the guard bit
+    clears iff the w1 count is larger (SWAR, as ``_packed_tableaux``); the
+    lowest cleared field p gives i = p + 1.  The minimum is never inserted:
+    w1 and w2 hold a whole orbit on one set of positions, so it cannot fail.
 
     With fewer than two nontrivial orbits nothing can fail: a value fixed by
-    w1 w2^{-1} sits at the same position in w1 and w2, so it adds the same
+    sigma sits at the same position in w1 and w2, so it adds the same
     amount to both box counts, and the counts restricted to a single orbit
     differ exactly as the full counts do, which comparability bounds.
     """
-    n = len(t1)
-    seen = [False] * (n + 1)
-    orbits = []
-    for start in range(1, n + 1):
-        if seen[start]:
-            continue
-        orbit = []
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            orbit.append(v)
-            v = t1[pos2[v] - 1]  # sigma(v) = w1(w2^{-1}(v))
-        if len(orbit) > 1:
-            orbits.append(sorted(orbit))
-    if len(orbits) < 2:
-        return None
-    for orbit in orbits:
-        a_pos: list[int] = []
-        b_pos: list[int] = []
-        for v in reversed(orbit[1:]):
-            insort(a_pos, pos1[v])
-            insort(b_pos, pos2[v])
-            for k in range(len(a_pos)):
-                if a_pos[k] < b_pos[k]:
-                    return (tuple(orbit), a_pos[k], v)
+    for orbit, values in _orbit_split(times_inverse2(t1)):
+        a, b = 0, guard
+        for v in values:
+            a += fields1[v]
+            b += fields2[v]
+            failed = ~(b - a) & guard
+            if failed:
+                width = (len(t1) - 1).bit_length() + 1
+                return (orbit, (failed & -failed).bit_length() // width, v)
     return None
 
 
@@ -332,13 +346,14 @@ def classify_block(n: int, lo: int, hi: int, summary: EnumerationSummary):
     ``summary`` counts the comparable and bad pairs as they stream."""
     tuples = lex_tuples(n)
     guarded, guard = _packed_tableaux(tuples)
-    positions = [_positions(t) for t in tuples]
+    fields, times_inverse, count_guards = zip(*map(_prefix_fields, tuples))
+    count_guard = count_guards[0]
     for i in range(lo, hi):
-        t1, pos1 = tuples[i], positions[i]
+        t1, fields1 = tuples[i], fields[i]
         row = _leq_indices(guarded, guard, i)
         summary.total_comparable += len(row)
         for j in row:
-            violation = _orbit_violation(t1, pos1, positions[j])
+            violation = _orbit_violation(t1, fields1, fields[j], times_inverse[j], count_guard)
             if violation is not None:
                 summary.bad_count += 1
             yield t1, tuples[j], violation

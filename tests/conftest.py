@@ -1,5 +1,7 @@
+import hashlib
 import itertools
 import sys
+from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
@@ -8,9 +10,11 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
+from weylpairs.cli import _dumps  # noqa: E402
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
 from weylpairs.poly import LAMBDA, SparsePolynomial, t_var, u_var, x_var  # noqa: E402
 from weylpairs.roots import subset_leq  # noqa: E402
+from weylpairs.serialize import verdict_dict  # noqa: E402
 from weylpairs.weyl import Permutation, reflection_group, symmetric_group  # noqa: E402
 
 
@@ -88,6 +92,64 @@ def reference_p_polynomial(w, indices):
     for k in range(1, d + 1):
         diagonal = diagonal * (SparsePolynomial.variable(t_var(w(k))) + lam)
     return colinear - diagonal * SparsePolynomial.variable(x_var(indices))
+
+
+def reference_box_violation(t1, t2):
+    """First orbit of w1 w2^{-1} with a box-count failure, as (orbit, i, j),
+    for a Bruhat-comparable pair w1 <= w2, by sorted position lists: for
+    each nontrivial orbit, insert the w1- and w2-positions of its values in
+    decreasing value order and fail where the k-th smallest w1-position
+    precedes the k-th smallest w2-position.  Independent of the library's
+    packed kernel."""
+    n = len(t1)
+    pos1, pos2 = [0] * (n + 1), [0] * (n + 1)
+    for idx in range(n):
+        pos1[t1[idx]] = pos2[t2[idx]] = idx + 1
+    seen = [False] * (n + 1)
+    orbits = []
+    for start in range(1, n + 1):
+        if seen[start]:
+            continue
+        orbit = []
+        v = start
+        while not seen[v]:
+            seen[v] = True
+            orbit.append(v)
+            v = t1[pos2[v] - 1]  # sigma(v) = w1(w2^{-1}(v))
+        if len(orbit) > 1:
+            orbits.append(sorted(orbit))
+    if len(orbits) < 2:
+        return None
+    for orbit in orbits:
+        a_pos, b_pos = [], []
+        for v in reversed(orbit[1:]):
+            insort(a_pos, pos1[v])
+            insort(b_pos, pos2[v])
+            for k in range(len(a_pos)):
+                if a_pos[k] < b_pos[k]:
+                    return (tuple(orbit), a_pos[k], v)
+    return None
+
+
+def embed_pair(t1, t2, n, rng):
+    """The pair (t1, t2) of S_k embedded in S_n: both put the patterns of t1
+    and t2 on the same k random positions, with the same k random values,
+    and the other values on the other positions in one shared random order."""
+    k = len(t1)
+    positions = sorted(rng.sample(range(n), k))
+    values = sorted(rng.sample(range(1, n + 1), k))
+    rest = [v for v in range(1, n + 1) if v not in values]
+    rng.shuffle(rest)
+    base = [0] * n
+    for p, v in zip((p for p in range(n) if p not in positions), rest):
+        base[p] = v
+    embedded = []
+    for t in (t1, t2):
+        w = list(base)
+        for p, x in zip(positions, t):
+            w[p] = values[x - 1]
+        embedded.append(tuple(w))
+    return tuple(embedded)
 
 
 def reference_kernel(m, ncols):
@@ -178,11 +240,17 @@ def bruhat_closure_oracle(group):
 
 @pytest.fixture(scope="session")
 def s7_bad_sweep():
-    """One sweep of S7 for every exhaustive S7 test: the enumeration summary
-    and the bad pairs as (w, w') = (w2, w1) of each bad verdict (w1, w2), in
-    stream order."""
+    """One sweep of S7 for every exhaustive S7 test: the enumeration summary,
+    the bad pairs as (w, w') = (w2, w1) of each bad verdict (w1, w2), in
+    stream order, and the sha256 of the lines `pairs enumerate --n 7
+    --allow-large --filter bad` prints for them."""
     summary = EnumerationSummary(7)
-    pairs = [
-        (v.w2, v.w1) for v in enumerate_pairs(7, "bad", allow_large=True, summary=summary)
-    ]
-    return summary, pairs
+    digest = hashlib.sha256()
+    pairs = []
+    for v in enumerate_pairs(7, "bad", allow_large=True, summary=summary):
+        digest.update((_dumps(verdict_dict(v)) + "\n").encode())
+        pairs.append((v.w2, v.w1))
+    record = {"summary": True, "n": 7, "total_comparable": summary.total_comparable,
+              "bad_count": summary.bad_count}
+    digest.update((_dumps(record) + "\n").encode())
+    return summary, pairs, digest.hexdigest()

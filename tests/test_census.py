@@ -31,6 +31,13 @@ def test_s6_census_is_stable():
 
 @pytest.mark.exhaustive
 def test_s7_census_matches_readme(s7_bad_sweep):
-    summary, pairs = s7_bad_sweep
+    summary, pairs, _ = s7_bad_sweep
     assert (summary.total_comparable, summary.bad_count) == (3550919, 236481)
     assert len(pairs) == 236481
+
+
+@pytest.mark.exhaustive
+def test_s7_bad_stream_digest(s7_bad_sweep):
+    """The bytes of `pairs enumerate --n 7 --allow-large --filter bad`."""
+    _, _, digest = s7_bad_sweep
+    assert digest == "cec3994d83dd33d3fc843424b0d458f27470fe107fc8567e7a207d76ff86d50a"

@@ -4,10 +4,12 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -17,6 +19,8 @@ from jsonschema import Draft202012Validator
 from weylpairs import __version__
 from weylpairs.cli import dispatch
 from weylpairs.weyl import SIZE_LIMITS, SymmetricGroup
+
+from conftest import embed_pair, reference_box_violation
 
 SCHEMA = json.loads(
     (Path(__file__).parent.parent / "src" / "weylpairs" / "schema.json").read_text()
@@ -99,6 +103,23 @@ class TestPairClassify:
         record = json.loads(out)
         validate(record, "pair_classification")
         assert record["criteria"] == {"orbit": "good"}
+
+    def test_orbit_criterion_answers_at_n20(self):
+        """No table or bound that grows exponentially with n: an embedded bad
+        pair of S20 gets the reference witness at once."""
+        e1, e2 = embed_pair((1, 2, 4, 3, 5, 6), (3, 5, 1, 6, 2, 4), 20, random.Random(20))
+        start = time.perf_counter()
+        code, out = run(
+            ["pair", "classify", "--n", "20", "--w1", ",".join(map(str, e1)),
+             "--w2", ",".join(map(str, e2)), "--criteria", "orbit"]
+        )
+        assert time.perf_counter() - start < 2
+        assert code == 0
+        record = json.loads(out)
+        validate(record, "pair_classification")
+        assert record["verdict"] == "bad"
+        orbit, i, j = reference_box_violation(e1, e2)
+        assert record["violating_orbit"] == {"orbit": list(orbit), "i": i, "j": j}
 
 
 class TestEnumerate:
@@ -329,8 +350,15 @@ class TestPinnedDigests:
              "7805d61805748e8fdc5c2c02c79881cb00e9350ba159f829216b0180b1000cf1"),
             (["equations", "emit", "--n", "6", "--w", "653421", "--format", "text"],
              "d80baaa597de03f2dfc5faba0220705eb984bea723416d2c74ca35e08decbc67"),
+            (["pairs", "enumerate", "--n", "5"],
+             "9e60f9e55bef5d84a16e0fef99978c921ca7a80b19e5a7e7ba50b170c5977262"),
+            (["pairs", "enumerate", "--n", "6", "--filter", "bad"],
+             "ba3d3920983d468f62981dea07fc644983bd45bd97b6b6dd08e9e8c2ebc77f15"),
+            (["patterns", "verify", "--n", "6"],
+             "89ddb6dcee661fc22d2c553abf2354cec07287af2505bdc3f996e22798da4f0a"),
         ],
-        ids=["scan-n5", "emit-n6-json", "emit-n6-text"],
+        ids=["scan-n5", "emit-n6-json", "emit-n6-text", "enumerate-n5", "enumerate-n6-bad",
+             "verify-n6"],
     )
     def test_stdout_sha256(self, argv, digest):
         code, out = run(argv)

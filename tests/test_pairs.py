@@ -1,6 +1,7 @@
 """Good/bad pair classification: criteria, witnesses, enumeration."""
 
 import json
+import math
 import random
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from weylpairs.pairs import (
     _leq_indices,
     _packed_tableaux,
     _tuples_leq,
+    classify_block,
     enumerate_pairs,
     is_good_chain,
     is_good_flattening,
@@ -24,7 +26,7 @@ from weylpairs.pairs import (
 )
 from weylpairs.weyl import Permutation
 
-from conftest import all_perms
+from conftest import all_perms, embed_pair, reference_box_violation
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "bad_pairs_s4.json").read_text()
@@ -110,6 +112,12 @@ class TestOrbitwiseCriterion:
 
     def test_s6_listed_bad_pair(self):
         assert is_good_orbitwise(P("124356"), P("351624")).verdict == "bad"
+
+    def test_answers_at_n40(self):
+        e1, e2 = embed_pair((1, 2, 4, 3, 5, 6), (3, 5, 1, 6, 2, 4), 40, random.Random(40))
+        verdict = is_good_orbitwise(Permutation(e1), Permutation(e2))
+        assert verdict.verdict == "bad"
+        assert verdict.violating_orbit == reference_box_violation(e1, e2)
 
 
 class TestFlatteningCriterion:
@@ -266,9 +274,20 @@ class TestEnumeration:
         assert bad == FIXTURE["bad_count"]
 
 
+@pytest.fixture(scope="module")
+def s5_s6_rows():
+    """(t1, t2, violation) for every comparable pair of S5 and S6, as the
+    enumeration streams them."""
+    return [
+        row for n in (5, 6)
+        for row in classify_block(n, 0, math.factorial(n), EnumerationSummary(n))
+    ]
+
+
 class TestFastPathsAgainstReferences:
     """The enumeration's packed comparability rows and box-violation shortcut
-    against the plain tableau criterion and direct box counts."""
+    against the plain tableau criterion, direct box counts and the sorted
+    position lists of ``reference_box_violation``."""
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_packed_rows_match_tuples_leq(self, n):
@@ -311,6 +330,25 @@ class TestFastPathsAgainstReferences:
                     orbit, i, j = violation
                     assert orbit == failing[0]
                     assert w1.box_count(i, j, orbit) > w2.box_count(i, j, orbit)
+
+
+    def test_box_violation_matches_reference_on_s5_and_s6(self, s5_s6_rows):
+        assert len(s5_s6_rows) == 3781 + 98407
+        for t1, t2, violation in s5_s6_rows:
+            expected = reference_box_violation(t1, t2)
+            assert violation == expected, (t1, t2)
+            assert _box_violation(t1, t2) == expected, (t1, t2)
+
+    @pytest.mark.parametrize("n", [8, 12, 20, 40])
+    def test_box_violation_matches_reference_on_embedded_s6_bad_pairs(self, s5_s6_rows, n):
+        rng = random.Random(n)
+        bad = [(t1, t2) for t1, t2, violation in s5_s6_rows if violation and len(t1) == 6]
+        for t1, t2 in rng.sample(bad, 300):
+            e1, e2 = embed_pair(t1, t2, n, rng)
+            assert _tuples_leq(e1, e2)
+            expected = reference_box_violation(e1, e2)
+            assert expected is not None, (e1, e2)
+            assert _box_violation(e1, e2) == expected, (e1, e2)
 
 
 class TestS5NamedPairs:

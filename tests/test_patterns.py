@@ -213,7 +213,7 @@ class TestBadPartnerCounts:
     def test_s7_matches_readme(self, s7_bad_sweep):
         # bad_partner_sides keeps "left" = the w2 and "right" = the w1 of the
         # bad pairs (w1, w2); the sweep holds each as (w, w') = (w2, w1)
-        _, pairs = s7_bad_sweep
+        _, pairs, _ = s7_bad_sweep
         left = {w for w, _ in pairs}
         right = {w_prime for _, w_prime in pairs}
         assert (len(left), len(right)) == (2697, 2697)
