@@ -4,7 +4,7 @@ equations of Springer-style flag variety cells."""
 
 __version__ = "0.1.0"
 
-from .linalg import Vector, kernel_basis, rank
+from .linalg import Vector, rank
 from .mingen import MinGenSubsystem, min_gen_subsystem, min_gen_type_A_orbits, reflection_length
 from .pairs import (
     PairVerdict,
@@ -36,8 +36,14 @@ from .varieties import (
     p_polynomials,
     plucker_relations,
     sample_point_on_Vw,
+    sample_point_on_fiber,
     separated_hits,
-    simplified_incidence_check,
     verify_witness,
 )
-from .weyl import Permutation, ReflectionGroup, SymmetricGroup, standardize_subsystem
+from .weyl import (
+    Permutation,
+    ReflectionGroup,
+    SymmetricGroup,
+    reflection_group,
+    standardize_subsystem,
+)

@@ -10,8 +10,8 @@ scaled by the lcm of its denominators, and the Bareiss step
 
 applied to every row i other than the pivot row r keeps each entry an
 integer (a minor of the scaled matrix) and leaves every pivot equal to one
-integer D.  A ``Fraction`` is created only for a rational result, by one
-division by D at the end.  Nothing here ever touches floating point.
+integer D.  Kernels and inverses are returned as integer numerators over D,
+so no ``Fraction`` is created.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -124,16 +124,6 @@ def integer_kernel(m: Matrix, ncols: int | None = None) -> tuple[list[list[int]]
             x[pc] = -rows[r][fc]
         basis.append(x)
     return basis, d
-
-
-def kernel_basis(m: Matrix, ncols: int | None = None) -> list[Vector]:
-    """Exact basis of the right null space {x : m x = 0}: the vector for
-    each free column has 1 there and 0 in the other free columns.
-
-    ``ncols`` is only needed when ``m`` has no rows.
-    """
-    basis, d = integer_kernel(m, ncols)
-    return [tuple(Fraction(x, d) for x in vec) for vec in basis]
 
 
 def in_span(basis: Sequence[Vector], v: Vector) -> bool:

@@ -184,14 +184,6 @@ class SparsePolynomial:
 
     __rmul__ = __mul__
 
-    def __pow__(self, k: int) -> "SparsePolynomial":
-        if k < 0:
-            raise ValueError("negative powers are not polynomials")
-        out = SparsePolynomial.constant(1)
-        for _ in range(k):
-            out = out * self
-        return out
-
     def __eq__(self, other) -> bool:
         return isinstance(other, SparsePolynomial) and self._terms == other._terms
 
@@ -202,10 +194,6 @@ class SparsePolynomial:
 
     def __bool__(self) -> bool:
         return bool(self._terms)
-
-    @property
-    def is_zero(self) -> bool:
-        return not self._terms
 
     # -- queries ----------------------------------------------------------------
     def variables(self) -> set[Variable]:
@@ -222,21 +210,6 @@ class SparsePolynomial:
     def degrees(self) -> set[int]:
         """The total degrees of the monomials."""
         return {sum(e for _, e in mono) for mono in self._terms}
-
-    def lambda_degree(self) -> int:
-        # lambda is the last variable of the order, so the last of a monomial
-        last = [mono[-1] for mono in self._terms if mono]
-        return max((e for v, e in last if v == LAMBDA), default=0)
-
-    def lambda_coefficients(self) -> list["SparsePolynomial"]:
-        """Split p = sum_s coeff[s] * lambda^s into lambda-free coefficients."""
-        buckets: list[dict[tuple, int | Fraction]] = [dict() for _ in range(self.lambda_degree() + 1)]
-        for mono, c in self._terms.items():
-            if mono and mono[-1][0] == LAMBDA:
-                buckets[mono[-1][1]][mono[:-1]] = c
-            else:
-                buckets[0][mono] = c
-        return [_raw(b) for b in buckets]
 
     def evaluate(self, point: Mapping[Variable, int | Fraction]) -> int | Fraction:
         """Exact evaluation at a point of ``int``/``Fraction`` values; every

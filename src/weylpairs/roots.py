@@ -78,10 +78,6 @@ class RootSystem:
         raise ValueError("zero vector is not a root")
 
     @cached_property
-    def positive_roots(self) -> tuple[Vector, ...]:
-        return tuple(r for r in self.roots if self.is_positive(r))
-
-    @cached_property
     def root_set(self) -> frozenset[Vector]:
         return frozenset(self.roots)
 

@@ -30,7 +30,6 @@ on request (``EquationSet.p_equations``).  A point is checked on its own
 numbers instead, without any polynomial: the engine runs on the point's (u, t)
 matrix, only for the j with x_j(pt) != 0, and every coefficient of
 sum_j Delta^j_i x_j - prod_{k<=d} (t_{w(k)} + lambda) x_i must vanish.
-``additional_equation_holds`` compares its identity at each sample the same way.
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
@@ -49,6 +48,7 @@ from typing import Optional
 
 from .linalg import integer_kernel, scaled_inverse
 from .poly import (
+    IncompletePointError,
     SparsePolynomial,
     VerificationFailedError,
     _generic_minors,
@@ -57,6 +57,7 @@ from .poly import (
     normalize_plucker_indices,
     t_var,
     u_var,
+    var_name,
     x_var,
 )
 from .roots import subset_leq
@@ -64,17 +65,6 @@ from .weyl import Permutation, check_size
 
 DEFAULT_SEED = 42
 COEFF_RANGE = 9  # random integer coordinates are drawn from [-9, 9]
-
-
-class PreconditionError(ValueError):
-    """Lemma hypotheses violated by the caller."""
-
-
-def _x_at(point: dict, indices) -> int:
-    """x at an arbitrary index sequence: sign * x_sorted at the point, with
-    the sign of the sorting permutation, and 0 for a repeated index."""
-    sign, sorted_idx = normalize_plucker_indices(indices)
-    return sign * point[x_var(sorted_idx)] if sign else 0
 
 
 def _prefix_set(w: Permutation, d: int) -> tuple[int, ...]:
@@ -420,13 +410,6 @@ def sample_point_on_fiber(
     return _sample_cell_point(w_prime, fiber_equations(w, w_prime), seed)
 
 
-@lru_cache(maxsize=4096)
-def _cached_sample_assignment(one_line: tuple[int, ...], seed: int) -> dict:
-    w = Permutation(one_line)
-    plucker_values, psi = sample_point_on_Vw(w, seed)
-    return point_assignment(w.n, plucker_values, psi)
-
-
 def point_assignment(n: int, plucker_values: dict, psi) -> dict:
     """Assemble the variable assignment of a point for exact evaluation;
     the values are copied as they are."""
@@ -485,7 +468,10 @@ def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool
 def check_point_families(eqs: EquationSet, point: dict) -> dict[str, bool]:
     """Evaluate every equation family of a cell at a point, exactly."""
     n = eqs.n
-    supports = [{tup: point[x] for tup, x in _x_vars(n, d) if point[x]} for d in range(1, n)]
+    try:
+        supports = [{tup: point[x] for tup, x in _x_vars(n, d) if point[x]} for d in range(1, n)]
+    except KeyError as missing:
+        raise IncompletePointError(f"no value for variable {var_name(missing.args[0])}")
     cell_ok = all(
         lead in support and support.keys().isdisjoint(vanishing)
         for lead, vanishing, support in zip(eqs.cell.nonvanishing, eqs.cell.vanishing, supports)
@@ -684,115 +670,3 @@ def _build_witness(
         w=w, w_prime=w_prime, a=a, b=b,
         point=WitnessPoint(plucker_values, psi), checks=checks,
     )
-
-
-# ---------------------------------------------------------------------------
-# simplified incidence identities on sampled cell points
-# ---------------------------------------------------------------------------
-
-def _incidence_hypotheses(w: Permutation, q: int, b: int, j_set) -> tuple[int, ...]:
-    n = w.n
-    if not 1 <= q <= n - 2:
-        raise PreconditionError(f"need 1 <= q <= n-2, got q={q}")
-    w_set = {w(k) for k in range(1, q + 2)}
-    if b not in w_set:
-        raise PreconditionError(f"b={b} must lie in w({{1..{q + 1}}}) = {sorted(w_set)}")
-    j_tuple = tuple(sorted(j_set))
-    if len(j_tuple) != q or len(set(j_tuple)) != q:
-        raise PreconditionError(f"j_set must have exactly q={q} distinct elements")
-    if b in j_tuple:
-        raise PreconditionError(f"j_set must avoid b={b}")
-    for j in j_tuple:
-        if j < b and j not in w_set:
-            raise PreconditionError(
-                f"every j < b must lie in w({{1..{q + 1}}}); {j} does not"
-            )
-    return j_tuple
-
-
-def simplified_incidence_check(
-    w: Permutation,
-    q: int,
-    b: int,
-    j_set,
-    a: int,
-    samples: int = 10,
-    seed: int = DEFAULT_SEED,
-) -> tuple[bool, Optional[int]]:
-    """Check x_{I,a} x_{J,b} = +- x_{I,b} x_{J,a} on sampled cell points,
-    where I = w({1..q+1}) minus b.  Returns (holds, sign); the sign is the
-    consistent choice, or None when every sample left both signs feasible.
-    """
-    if samples < 1:  # checked at no point, the identity would hold vacuously
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    j_tuple = _incidence_hypotheses(w, q, b, j_set)
-    i_tuple = tuple(sorted(v for v in (w(k) for k in range(1, q + 2)) if v != b))
-    feasible = {1, -1}
-    decided = False
-    for s in range(samples):
-        point = _cached_sample_assignment(w.one_line, seed + s)
-        lhs = _x_at(point, i_tuple + (a,)) * _x_at(point, j_tuple + (b,))
-        rhs_base = _x_at(point, i_tuple + (b,)) * _x_at(point, j_tuple + (a,))
-        feasible = {sg for sg in feasible if lhs == sg * rhs_base}
-        if lhs != 0 or rhs_base != 0:
-            decided = True
-        if not feasible:
-            return False, None
-    if not decided:
-        return True, None  # both sides vanished at every sample
-    return True, next(iter(feasible))
-
-
-def additional_equation_holds(
-    w: Permutation,
-    q: int,
-    b: int,
-    j_set,
-    a: int,
-    samples: int = 10,
-    seed: int = DEFAULT_SEED,
-) -> bool:
-    """Check the derived cell identity combining the colinearity polynomial
-    with the simplified incidence relations:
-
-        sum_{J <= K <= I} e_K Delta^{K,b}_{J,b}(u + lambda) x_{K,a}
-            = prod_{m<=q+1} (t_{w(m)} + lambda) x_{J,a}
-
-    with empirical per-term signs e_K; requires {J, a} <= {I, b}.
-    """
-    if samples < 1:  # checked at no point, the identity would hold vacuously
-        raise ValueError(f"samples must be at least 1, got {samples}")
-    j_tuple = _incidence_hypotheses(w, q, b, j_set)
-    n = w.n
-    if a in j_tuple:
-        raise PreconditionError("a must avoid j_set for a meaningful identity")
-    i_tuple = tuple(sorted(v for v in (w(k) for k in range(1, q + 2)) if v != b))
-    if not subset_leq(sorted(j_tuple + (a,)), sorted(i_tuple + (b,))):
-        raise PreconditionError("need {j, a} <= {i, b} componentwise")
-    k_tuples = [
-        k_seq
-        for k_seq in itertools.combinations(range(1, n + 1), q)
-        if b not in k_seq
-        and all(lo <= mid <= hi for lo, mid, hi in zip(j_tuple, k_seq, i_tuple))
-    ]
-    signs = {}
-    for k_seq in k_tuples:
-        holds, sign = simplified_incidence_check(w, q, b, k_seq, a, samples, seed)
-        if not holds:
-            return False
-        signs[k_seq] = 1 if sign is None else sign  # undecided terms vanish anyway
-    sigma_j = signs[j_tuple]
-    rows, prefix = tuple(sorted(j_tuple + (b,))), _prefix_set(w, q + 1)
-    for s in range(samples):
-        point = _cached_sample_assignment(w.one_line, seed + s)
-        minor = _shifted_minors(_upper_matrix(n, point))
-        total = [0] * (q + 2)
-        for k_seq, sigma_k in signs.items():
-            x_k = sigma_j * sigma_k * _x_at(point, k_seq + (a,))
-            if x_k:
-                for i, m in enumerate(minor(rows, tuple(sorted(k_seq + (b,))))):
-                    total[i] += m * x_k
-        x_j = _x_at(point, j_tuple + (a,))
-        if total != [e * x_j for e in minor(prefix, prefix)]:
-            return False
-    return True

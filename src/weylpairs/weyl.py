@@ -167,13 +167,6 @@ class Permutation:
             for a, b in zip(_sorted_prefixes(self.one_line), _sorted_prefixes(other.one_line))
         )
 
-    def box_count(self, i: int, j: int, sigma=None) -> int:
-        """|w({1..i}) ∩ {j..n} ∩ sigma| (sigma defaults to everything)."""
-        vals = self.one_line[:i]
-        if sigma is None:
-            return sum(1 for v in vals if v >= j)
-        return sum(1 for v in vals if v >= j and v in sigma)
-
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of the action on {1..n}, each sorted, ordered by minimum."""
         return _cycles(self.one_line)
@@ -245,9 +238,6 @@ class SymmetricGroup:
 
     def bruhat_leq(self, a: Permutation, b: Permutation) -> bool:
         return a.bruhat_leq(b)
-
-    def longest_element(self) -> Permutation:
-        return Permutation(range(self.n, 0, -1))
 
     def elements_by_length(self) -> list[Permutation]:
         if self._elements_by_length is None:
@@ -412,12 +402,6 @@ class ReflectionGroup:
 
     def elements_by_length(self) -> list[int]:
         return sorted(range(self.size), key=lambda e: (self.lengths[e], self.tables[e]))
-
-    def longest_element(self) -> int:
-        top = max(range(self.size), key=lambda e: self.lengths[e])
-        if sum(1 for e in range(self.size) if self.lengths[e] == self.lengths[top]) != 1:
-            raise InternalInvariantError("longest element is not unique")
-        return top
 
     def _left_descent(self, w: int) -> int:
         for g in range(len(self.lmul)):

@@ -5,6 +5,7 @@ from bisect import insort
 from fractions import Fraction
 from functools import lru_cache
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -12,10 +13,31 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylpairs.cli import _dumps  # noqa: E402
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
-from weylpairs.poly import LAMBDA, SparsePolynomial, t_var, u_var, x_var  # noqa: E402
+from weylpairs.poly import (  # noqa: E402
+    LAMBDA,
+    SparsePolynomial,
+    _raw,
+    _shifted_minors,
+    _upper_matrix,
+    normalize_plucker_indices,
+    t_var,
+    u_var,
+    x_var,
+)
 from weylpairs.roots import subset_leq  # noqa: E402
 from weylpairs.serialize import verdict_dict  # noqa: E402
-from weylpairs.weyl import Permutation, reflection_group, symmetric_group  # noqa: E402
+from weylpairs.varieties import (  # noqa: E402
+    DEFAULT_SEED,
+    _prefix_set,
+    point_assignment,
+    sample_point_on_Vw,
+)
+from weylpairs.weyl import (  # noqa: E402
+    InternalInvariantError,
+    Permutation,
+    reflection_group,
+    symmetric_group,
+)
 
 
 # the B4 and D4 Cartan matrices of the crossval benchmark workload
@@ -78,6 +100,24 @@ def reference_minor(n, rows, cols, shift_lambda=False):
     return total
 
 
+def lambda_degree(p):
+    """The highest power of lambda in the polynomial p."""
+    # lambda is the last variable of the order, so the last of a monomial
+    last = [mono[-1] for mono in p._terms if mono]
+    return max((e for v, e in last if v == LAMBDA), default=0)
+
+
+def lambda_coefficients(p):
+    """Split p = sum_s coeff[s] * lambda^s into lambda-free coefficients."""
+    buckets = [dict() for _ in range(lambda_degree(p) + 1)]
+    for mono, c in p._terms.items():
+        if mono and mono[-1][0] == LAMBDA:
+            buckets[mono[-1][1]][mono[:-1]] = c
+        else:
+            buckets[0][mono] = c
+    return [_raw(b) for b in buckets]
+
+
 def reference_p_polynomial(w, indices):
     """P_{w,I}(lambda) from its definition: the sum over every d-subset J of
     the shifted minor Delta^J_I(u + lambda id) times x_J, minus
@@ -92,6 +132,25 @@ def reference_p_polynomial(w, indices):
     for k in range(1, d + 1):
         diagonal = diagonal * (SparsePolynomial.variable(t_var(w(k))) + lam)
     return colinear - diagonal * SparsePolynomial.variable(x_var(indices))
+
+
+def reference_box_count(w, i, j, sigma=None):
+    """|w({1..i}) ∩ {j..n} ∩ sigma| (sigma defaults to everything), the box
+    count of the Bruhat criterion, from its definition."""
+    vals = w.one_line[:i]
+    if sigma is None:
+        return sum(1 for v in vals if v >= j)
+    return sum(1 for v in vals if v >= j and v in sigma)
+
+
+def longest_element(group):
+    """The unique element of maximal length of a finite Weyl group, on either
+    group backend."""
+    elements = group.elements_by_length()
+    top = elements[-1]
+    if sum(1 for e in elements if group.length(e) == group.length(top)) != 1:
+        raise InternalInvariantError("longest element is not unique")
+    return top
 
 
 def reference_box_violation(t1, t2):
@@ -179,6 +238,137 @@ def reference_kernel(m, ncols):
             x[pc] = -s / rows[r][pc]
         basis.append(tuple(x))
     return basis, len(pivots)
+
+
+# ---------------------------------------------------------------------------
+# simplified incidence identities on sampled cell points: the lemma behind the
+# hit rule of ``varieties.separated_hits``
+# ---------------------------------------------------------------------------
+
+class PreconditionError(ValueError):
+    """Lemma hypotheses violated by the caller."""
+
+
+def _x_at(point: dict, indices) -> int:
+    """x at an arbitrary index sequence: sign * x_sorted at the point, with
+    the sign of the sorting permutation, and 0 for a repeated index."""
+    sign, sorted_idx = normalize_plucker_indices(indices)
+    return sign * point[x_var(sorted_idx)] if sign else 0
+
+
+@lru_cache(maxsize=4096)
+def _cached_sample_assignment(one_line: tuple[int, ...], seed: int) -> dict:
+    w = Permutation(one_line)
+    plucker_values, psi = sample_point_on_Vw(w, seed)
+    return point_assignment(w.n, plucker_values, psi)
+
+
+def _incidence_hypotheses(w: Permutation, q: int, b: int, j_set) -> tuple[int, ...]:
+    n = w.n
+    if not 1 <= q <= n - 2:
+        raise PreconditionError(f"need 1 <= q <= n-2, got q={q}")
+    w_set = {w(k) for k in range(1, q + 2)}
+    if b not in w_set:
+        raise PreconditionError(f"b={b} must lie in w({{1..{q + 1}}}) = {sorted(w_set)}")
+    j_tuple = tuple(sorted(j_set))
+    if len(j_tuple) != q or len(set(j_tuple)) != q:
+        raise PreconditionError(f"j_set must have exactly q={q} distinct elements")
+    if b in j_tuple:
+        raise PreconditionError(f"j_set must avoid b={b}")
+    for j in j_tuple:
+        if j < b and j not in w_set:
+            raise PreconditionError(
+                f"every j < b must lie in w({{1..{q + 1}}}); {j} does not"
+            )
+    return j_tuple
+
+
+def simplified_incidence_check(
+    w: Permutation,
+    q: int,
+    b: int,
+    j_set,
+    a: int,
+    samples: int = 10,
+    seed: int = DEFAULT_SEED,
+) -> tuple[bool, Optional[int]]:
+    """Check x_{I,a} x_{J,b} = +- x_{I,b} x_{J,a} on sampled cell points,
+    where I = w({1..q+1}) minus b.  Returns (holds, sign); the sign is the
+    consistent choice, or None when every sample left both signs feasible.
+    """
+    if samples < 1:  # checked at no point, the identity would hold vacuously
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    j_tuple = _incidence_hypotheses(w, q, b, j_set)
+    i_tuple = tuple(sorted(v for v in (w(k) for k in range(1, q + 2)) if v != b))
+    feasible = {1, -1}
+    decided = False
+    for s in range(samples):
+        point = _cached_sample_assignment(w.one_line, seed + s)
+        lhs = _x_at(point, i_tuple + (a,)) * _x_at(point, j_tuple + (b,))
+        rhs_base = _x_at(point, i_tuple + (b,)) * _x_at(point, j_tuple + (a,))
+        feasible = {sg for sg in feasible if lhs == sg * rhs_base}
+        if lhs != 0 or rhs_base != 0:
+            decided = True
+        if not feasible:
+            return False, None
+    if not decided:
+        return True, None  # both sides vanished at every sample
+    return True, next(iter(feasible))
+
+
+def additional_equation_holds(
+    w: Permutation,
+    q: int,
+    b: int,
+    j_set,
+    a: int,
+    samples: int = 10,
+    seed: int = DEFAULT_SEED,
+) -> bool:
+    """Check the derived cell identity combining the colinearity polynomial
+    with the simplified incidence relations:
+
+        sum_{J <= K <= I} e_K Delta^{K,b}_{J,b}(u + lambda) x_{K,a}
+            = prod_{m<=q+1} (t_{w(m)} + lambda) x_{J,a}
+
+    with empirical per-term signs e_K; requires {J, a} <= {I, b}.
+    """
+    if samples < 1:  # checked at no point, the identity would hold vacuously
+        raise ValueError(f"samples must be at least 1, got {samples}")
+    j_tuple = _incidence_hypotheses(w, q, b, j_set)
+    n = w.n
+    if a in j_tuple:
+        raise PreconditionError("a must avoid j_set for a meaningful identity")
+    i_tuple = tuple(sorted(v for v in (w(k) for k in range(1, q + 2)) if v != b))
+    if not subset_leq(sorted(j_tuple + (a,)), sorted(i_tuple + (b,))):
+        raise PreconditionError("need {j, a} <= {i, b} componentwise")
+    k_tuples = [
+        k_seq
+        for k_seq in itertools.combinations(range(1, n + 1), q)
+        if b not in k_seq
+        and all(lo <= mid <= hi for lo, mid, hi in zip(j_tuple, k_seq, i_tuple))
+    ]
+    signs = {}
+    for k_seq in k_tuples:
+        holds, sign = simplified_incidence_check(w, q, b, k_seq, a, samples, seed)
+        if not holds:
+            return False
+        signs[k_seq] = 1 if sign is None else sign  # undecided terms vanish anyway
+    sigma_j = signs[j_tuple]
+    rows, prefix = tuple(sorted(j_tuple + (b,))), _prefix_set(w, q + 1)
+    for s in range(samples):
+        point = _cached_sample_assignment(w.one_line, seed + s)
+        minor = _shifted_minors(_upper_matrix(n, point))
+        total = [0] * (q + 2)
+        for k_seq, sigma_k in signs.items():
+            x_k = sigma_j * sigma_k * _x_at(point, k_seq + (a,))
+            if x_k:
+                for i, m in enumerate(minor(rows, tuple(sorted(k_seq + (b,))))):
+                    total[i] += m * x_k
+        x_j = _x_at(point, j_tuple + (a,))
+        if total != [e * x_j for e in minor(prefix, prefix)]:
+            return False
+    return True
 
 
 def all_perms(n):

@@ -24,7 +24,6 @@ from weylpairs.pairs import (
 from weylpairs.patterns import has_pattern, verify_pattern_theorem
 from weylpairs.roots import subset_leq
 from weylpairs.varieties import (
-    additional_equation_holds,
     additional_equation_scan,
     cell_equations,
     check_point_families,
@@ -36,7 +35,7 @@ from weylpairs.varieties import (
 )
 from weylpairs.weyl import Permutation, reflection_group, symmetric_group
 
-from conftest import all_perms
+from conftest import additional_equation_holds, all_perms
 
 F = Fraction
 P = Permutation.from_string

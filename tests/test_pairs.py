@@ -26,7 +26,13 @@ from weylpairs.pairs import (
 )
 from weylpairs.weyl import Permutation
 
-from conftest import all_perms, embed_pair, reference_box_violation
+from conftest import (
+    all_perms,
+    embed_pair,
+    longest_element,
+    reference_box_count,
+    reference_box_violation,
+)
 
 FIXTURE = json.loads(
     (Path(__file__).parent / "fixtures" / "bad_pairs_s4.json").read_text()
@@ -155,7 +161,7 @@ class TestCriteriaAgreement:
 
 class TestInversionSymmetry:
     def test_s4_exhaustive(self, s4):
-        w0 = s4.longest_element()
+        w0 = longest_element(s4)
         for w1 in all_perms(4):
             for w2 in all_perms(4):
                 base = is_good_orbitwise(w1, w2).verdict
@@ -166,7 +172,7 @@ class TestInversionSymmetry:
     @pytest.mark.parametrize("group_name", ["b2", "g2"])
     def test_general_exhaustive(self, group_name, request):
         group = request.getfixturevalue(group_name)
-        w0 = group.longest_element()
+        w0 = longest_element(group)
         for a in range(group.size):
             for b in range(group.size):
                 base = is_good_chain(group, a, b).verdict
@@ -315,21 +321,24 @@ class TestFastPathsAgainstReferences:
         n = 5
         boxes = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
         perms = all_perms(n)
+
+        def exceeds(w1, w2, i, j, orbit):
+            return reference_box_count(w1, i, j, orbit) > reference_box_count(w2, i, j, orbit)
+
         for w1 in perms:
             for w2 in perms:
                 if not _tuples_leq(w1.one_line, w2.one_line):
                     continue
                 failing = [
                     orbit for orbit in (w1 * w2.inverse()).orbits()
-                    if any(w1.box_count(i, j, orbit) > w2.box_count(i, j, orbit)
-                           for i, j in boxes)
+                    if any(exceeds(w1, w2, i, j, orbit) for i, j in boxes)
                 ]
                 violation = _box_violation(w1.one_line, w2.one_line)
                 assert (violation is None) == (not failing), (w1, w2)
                 if violation is not None:
                     orbit, i, j = violation
                     assert orbit == failing[0]
-                    assert w1.box_count(i, j, orbit) > w2.box_count(i, j, orbit)
+                    assert exceeds(w1, w2, i, j, orbit)
 
 
     def test_box_violation_matches_reference_on_s5_and_s6(self, s5_s6_rows):

@@ -13,7 +13,6 @@ from weylpairs.linalg import (
     in_span,
     independent_subset,
     integer_kernel,
-    kernel_basis,
     rank,
     scaled_inverse,
 )
@@ -71,7 +70,8 @@ class TestBuildTypeA:
         n = 4
         expected = sum(1 for i in range(n) for j in range(n) if i != j)
         assert len(build_type_A(n).roots) == expected == 12
-        assert len(build_type_A(n).positive_roots) == 6
+        system = build_type_A(n)
+        assert sum(1 for r in system.roots if system.is_positive(r)) == 6
 
     def test_rejects_small_n(self):
         with pytest.raises(ValueError):
@@ -280,12 +280,12 @@ class TestSubsetLeq:
 class TestKernel:
     def test_zero_matrix_full_kernel(self):
         m = [[F(0)] * 3 for _ in range(3)]
-        basis = kernel_basis(m)
+        basis, _ = integer_kernel(m)
         assert len(basis) == 3
 
     def test_identity_trivial_kernel(self):
         m = [[F(int(i == j)) for j in range(4)] for i in range(4)]
-        assert kernel_basis(m) == []
+        assert integer_kernel(m)[0] == []
 
     def test_w_minus_id_for_4321(self):
         # w = [4321]: columns are e_{w(i)} - e_i
@@ -294,7 +294,7 @@ class TestKernel:
         for i in range(4):
             m[w[i] - 1][i] += 1
             m[i][i] -= 1
-        basis = kernel_basis(m)
+        basis, _ = integer_kernel(m)
         assert len(basis) == 2
         assert rank(m) == 2
         for v in basis:
@@ -307,7 +307,7 @@ class TestKernel:
             [F(2), F(4), F(6), F(8)],
             [F(1), F(0), F(1), F(0)],
         ]
-        basis = kernel_basis(m)
+        basis, _ = integer_kernel(m)
         assert len(basis) == 4 - rank(m)
         for v in basis:
             assert all(
@@ -317,7 +317,7 @@ class TestKernel:
     def test_fractional_entries(self):
         m = [[F(1, 2), F(1, 3)], [F(3), F(2)]]
         assert rank(m) == 1
-        (v,) = kernel_basis(m)
+        (v,), _ = integer_kernel(m)
         assert F(1, 2) * v[0] + F(1, 3) * v[1] == 0
 
 
@@ -363,9 +363,8 @@ class TestFractionFreeCore:
         shapes = set()
         for m, ncols in random_rational_matrices(seed=20, count=600):
             basis, r = reference_kernel(m, ncols)
-            got = kernel_basis(m)
-            assert got == basis
-            assert all(type(x) is F for v in got for x in v)
+            numerators, d = integer_kernel(m)
+            assert [tuple(F(x, d) for x in v) for v in numerators] == basis
             assert rank(m) == r
             shapes.add((len(m) < ncols, len(m) > ncols, r == 0))
         assert shapes >= {(True, False, False), (False, True, False), (False, False, False)}
@@ -374,14 +373,14 @@ class TestFractionFreeCore:
     def test_integer_kernel_is_kernel_basis_over_one_denominator(self):
         for m, ncols in random_rational_matrices(seed=21, count=200):
             numerators, d = integer_kernel(m)
-            assert all(type(x) is int for v in numerators for x in v)
-            assert kernel_basis(m) == [tuple(F(x, d) for x in v) for v in numerators]
+            assert all(type(x) is int for v in numerators for x in v) and type(d) is int
+            basis, _ = reference_kernel(m, ncols)
+            assert [tuple(F(x, d) for x in v) for v in numerators] == basis
 
     def test_empty_matrix(self):
         assert integer_kernel([], ncols=2) == ([[1, 0], [0, 1]], 1)
-        assert kernel_basis([], ncols=2) == [(F(1), F(0)), (F(0), F(1))]
         with pytest.raises(ValueError):
-            kernel_basis([])
+            integer_kernel([])
 
     def test_integer_rows_mixing_int_and_fraction(self):
         rows = _integer_rows([[1, F(1, 2), F(-2, 3), 0], [3, F(4), -5, F(0)], [F(5, 6), 7, F(1, 4), 2]])

@@ -23,8 +23,6 @@ from weylpairs.poly import (
 from weylpairs.roots import subset_leq
 from weylpairs.serialize import counterexample_dict, witness_dict
 from weylpairs.varieties import (
-    PreconditionError,
-    additional_equation_holds,
     additional_equation_scan,
     cell_equations,
     check_point_families,
@@ -35,17 +33,22 @@ from weylpairs.varieties import (
     point_assignment,
     sample_point_on_Vw,
     sample_point_on_fiber,
-    simplified_incidence_check,
     verify_witness,
 )
 from weylpairs.weyl import Permutation
 
+import conftest
 from conftest import (
+    PreconditionError,
+    additional_equation_holds,
     all_perms,
     fraction_det,
     fraction_mat_mul,
+    lambda_coefficients,
+    lambda_degree,
     reference_kernel,
     reference_p_polynomial,
+    simplified_incidence_check,
 )
 
 F = Fraction
@@ -242,7 +245,7 @@ class TestPPolynomials:
         for w in all_perms(4):
             for d in range(1, 4):
                 for indices in itertools.combinations(range(1, 5), d):
-                    assert reference_p_polynomial(w, indices).lambda_degree() <= d - 1
+                    assert lambda_degree(reference_p_polynomial(w, indices)) <= d - 1
 
 
 # fixed S6 elements: the identity, the longest element, README's unknown
@@ -263,7 +266,7 @@ class TestPPolynomialsFastPath:
         out = {}
         for d in range(1, w.n):
             for indices in itertools.combinations(range(1, w.n + 1), d):
-                coeffs = reference_p_polynomial(w, indices).lambda_coefficients()
+                coeffs = lambda_coefficients(reference_p_polynomial(w, indices))
                 for s in range(d):
                     out[(d, indices, s)] = (
                         coeffs[s] if s < len(coeffs) else SparsePolynomial.zero()
@@ -435,9 +438,17 @@ class TestFactoredPCheck:
         point = self.sample(w, 9)
         for v in point:
             partial = {k: val for k, val in point.items() if k != v}
-            expected = KeyError if v[0] == "x" else IncompletePointError
-            with pytest.raises(expected):
+            with pytest.raises(IncompletePointError):
                 check_point_families(eqs, partial)
+
+    def test_missing_x_is_named(self):
+        # an x is looked up before the (u, t) matrix is built, and is named
+        # just as a missing u or t is
+        w = P("2413")
+        point = self.sample(w, 1)
+        del point[x_var((1, 2))]
+        with pytest.raises(IncompletePointError, match="x12"):
+            check_point_families(p_polynomials(w), point)
 
     @pytest.mark.parametrize("doctor", ["extra-top", "scaled-top", "inhomogeneous"])
     def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
@@ -607,7 +618,7 @@ def _exchange_reference(n, d, d_prime):
             for k, jk in enumerate(j_seq, start=1):
                 rest = j_seq[: k - 1] + j_seq[k:]
                 rel = rel + signed_x(i_seq + (jk,)) * signed_x(rest) * ((-1) ** k)
-            if rel.is_zero:
+            if not rel:
                 continue
             rel = -rel if rel.sorted_terms()[0][1] < 0 else rel
             if rel not in seen:
@@ -961,13 +972,13 @@ class TestSimplifiedIncidence:
         2413 at (q, b, J, a) = (1, 2, {3}, 1) fails."""
         w = P("2413")
         assert additional_equation_holds(w, 1, 2, (3,), 1, samples=3)
-        sample = varieties._cached_sample_assignment
+        sample = conftest._cached_sample_assignment
 
         def moved(one_line, seed):
             point = sample(one_line, seed)
             return {**point, var: point[var] + 1}
 
-        monkeypatch.setattr(varieties, "_cached_sample_assignment", moved)
+        monkeypatch.setattr(conftest, "_cached_sample_assignment", moved)
         assert additional_equation_holds(w, 1, 2, (3,), 1, samples=3) is False
 
     def test_longest_element_configurations(self):
