@@ -2,9 +2,10 @@
 
 Vectors are tuples of ``int`` (roots, Gram matrices and the vectors of the
 Weyl group action are integral) or of :class:`fractions.Fraction`; matrices
-are sequences of such rows, and may mix the two.  Rank, kernels and inverses
-share one fraction-free Gauss-Jordan core on integer rows: each row is first
-scaled by the lcm of its denominators, and the Bareiss step
+are sequences of such rows, and may mix the two.  Rank, span tests,
+independent subsets, kernels and inverses share one fraction-free
+Gauss-Jordan core on integer rows: each row is first scaled by the lcm of
+its denominators, and the Bareiss step
 
     m[i][j] <- (m[i][j] * pivot - m[i][c] * m[r][j]) // previous_pivot
 
@@ -22,10 +23,6 @@ from typing import Sequence
 
 Vector = tuple[int | Fraction, ...]
 Matrix = Sequence[Sequence[int | Fraction]]
-
-
-def is_zero_vector(x: Vector) -> bool:
-    return all(a == 0 for a in x)
 
 
 def _integer_rows(m: Matrix) -> list[list[int]]:
@@ -127,27 +124,17 @@ def integer_kernel(m: Matrix, ncols: int | None = None) -> tuple[list[list[int]]
 
 
 def in_span(basis: Sequence[Vector], v: Vector) -> bool:
-    """Whether v lies in the span of the given vectors (rank comparison)."""
-    if is_zero_vector(v):
-        return True
-    if not basis:
-        return False
-    rows = list(basis)
-    return rank(rows) == rank(rows + [v])
+    """Whether v lies in the span of the given vectors: v is not a pivot
+    column of the matrix whose columns are the vectors and then v."""
+    pivots, _ = _gauss_jordan(_integer_rows(list(zip(*basis, v))))
+    return len(basis) not in pivots
 
 
 def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:
-    """Greedy maximal linearly independent subset, preserving input order."""
-    picked: list[Vector] = []
-    r = 0
-    for v in vectors:
-        if is_zero_vector(v):
-            continue
-        cand = picked + [v]
-        if rank(cand) > r:
-            picked = cand
-            r += 1
-    return picked
+    """Greedy maximal linearly independent subset, preserving input order:
+    the pivot columns of the matrix whose columns are the vectors."""
+    pivots, _ = _gauss_jordan(_integer_rows(list(zip(*vectors))))
+    return [vectors[c] for c in pivots]
 
 
 def scaled_inverse(m: Matrix) -> tuple[list[list[int]], int]:

@@ -21,14 +21,15 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import itemgetter
-from typing import Callable, Iterator, Optional
+from typing import Iterator, Optional
 
 from .weyl import (
     InternalInvariantError,
     Permutation,
+    _bruhat_key,
     _cycles,
-    _sorted_prefixes,
+    _one_line_leq,
+    _prefix_fields,
     check_size,
     standardize_subsystem,
     symmetric_group,
@@ -66,70 +67,16 @@ def _incomparable(w1, w2, criterion: str) -> PairVerdict:
 # type-A fast paths on raw one-line tuples
 # ---------------------------------------------------------------------------
 
-def _tuples_leq(t1, t2) -> bool:
-    return all(a <= b for a, b in zip(_sorted_prefixes(t1), _sorted_prefixes(t2)))
-
-
-# Packed tableaux: the sorted-prefix tableau of a permutation as one int, one
-# FIELD_BITS-wide field per entry holding a value 1..n under a guard bit.  For
-# U and W packed that way and H the guard bits, ((W | H) - U) & H == H iff no
-# field of U exceeds its field of W: guard + w - u stays >= 0 in every field,
-# so no borrow crosses into the next one (SWAR, Lamport, CACM 1975).
-FIELD_BITS = 5
-MAX_PACKED_N = (1 << (FIELD_BITS - 1)) - 1
-
-
-def _packed_tableaux(tuples) -> tuple[list[int], int]:
-    """The packed tableaux of the one-line tuples of S_n, each with its guard
-    bits set, and the guard mask H."""
-    n = len(tuples[0])
-    if n > MAX_PACKED_N:
-        raise ValueError(f"packed tableaux support n <= {MAX_PACKED_N}")
-    fields = n * (n + 1) // 2
-    guard = sum(1 << (FIELD_BITS * k + FIELD_BITS - 1) for k in range(fields))
-    guarded = []
-    for t in tuples:
-        packed = 0
-        for v in _sorted_prefixes(t):
-            packed = packed << FIELD_BITS | v
-        guarded.append(packed | guard)
-    return guarded, guard
-
-
 def _leq_indices(guarded: list[int], guard: int, i: int) -> list[int]:
     """The indices j with element i <= element j in Bruhat order, for the
-    packed tableaux ``guarded`` of S_n in lexicographic order.
+    guarded keys (``weyl._bruhat_key``) of S_n in lexicographic order.
 
     Bruhat order refines to lexicographic order (at the first position k
-    where u < w differ, the prefix-set criterion forces u(k) < w(k)), so only
-    j >= i are tested.
+    where u < w differ, the box counts force u(k) < w(k)), so only j >= i
+    are tested.
     """
     u = guarded[i] ^ guard
     return [j for j in range(i, len(guarded)) if (guarded[j] - u) & guard == guard]
-
-
-@lru_cache(maxsize=None)
-def _prefix_fields(t) -> tuple[tuple[int, ...], Callable[[tuple], tuple], int]:
-    """Packed box counts of the one-line tuple t of S_n, in n - 2 fields that
-    each hold a count 0..n-2 under a guard bit: ``fields[v]`` has a 1 in
-    every field p >= pos_t(v) - 1, so field p of a sum of them counts the
-    values at positions <= p + 1.  Returns the fields, a map from u to the
-    one-line tuple of u t^{-1} (an itemgetter; ``tuple`` in S_1, where one
-    index would return the item) and the guard mask.
-
-    ``_orbit_violation`` needs no field for positions <= n or <= n - 1.  At
-    positions <= n, w1 and w2 count every value of an orbit.  At positions
-    <= n - 1, the w1 count of a set of values exceeds the w2 count only if
-    the set holds w2(n) but not w1(n).  The sets summed are the top values
-    of one orbit of sigma = w1 w2^{-1}, and sigma maps w2(n) to w1(n), so the
-    two share an orbit and w1(n) < w2(n).  Comparability forbids that: the
-    sorted n - 1 prefix of w1 lies below that of w2, so w2(n) <= w1(n)."""
-    n = len(t)
-    width = (n - 1).bit_length() + 1
-    ones = sum(1 << width * p for p in range(n - 2))
-    inverse = sorted(range(n), key=t.__getitem__)
-    fields = (0, *(ones >> width * idx << width * idx for idx in inverse))
-    return fields, (itemgetter(*inverse) if n > 1 else tuple), ones << width - 1
 
 
 @lru_cache(maxsize=None)
@@ -158,9 +105,15 @@ def _orbit_violation(t1, fields1, fields2, times_inverse2, guard) -> Optional[tu
     w1[i,j]_orbit <= w2[i,j]_orbit hold for all i iff no field of a exceeds
     that of b.  From b = guard mask, each field of b - a holds guard + (w2
     count) - (w1 count) >= 1, so no borrow crosses a field and the guard bit
-    clears iff the w1 count is larger (SWAR, as ``_packed_tableaux``); the
+    clears iff the w1 count is larger (SWAR, as ``weyl._bruhat_key``); the
     lowest cleared field p gives i = p + 1.  The minimum is never inserted:
     w1 and w2 hold a whole orbit on one set of positions, so it cannot fail.
+    Nor can the last field, at positions <= n - 1: there the w1 count of a
+    set of values exceeds the w2 count only if the set holds w2(n) but not
+    w1(n).  The sets summed are the top values of one orbit of sigma, and
+    sigma maps w2(n) to w1(n), so the two share an orbit and w1(n) < w2(n).
+    Comparability forbids that: w1[n-1, j] <= w2[n-1, j] for every j, so
+    w2(n) <= w1(n).
 
     With fewer than two nontrivial orbits nothing can fail: a value fixed by
     sigma sits at the same position in w1 and w2, so it adds the same
@@ -174,8 +127,8 @@ def _orbit_violation(t1, fields1, fields2, times_inverse2, guard) -> Optional[tu
             b += fields2[v]
             failed = ~(b - a) & guard
             if failed:
-                width = (len(t1) - 1).bit_length() + 1
-                return (orbit, (failed & -failed).bit_length() // width, v)
+                # the guard bits up to the lowest failed one number i
+                return (orbit, (guard & (failed ^ (failed - 1))).bit_count(), v)
     return None
 
 
@@ -293,11 +246,8 @@ def orbitwise_verdict(w1, w2, violation) -> PairVerdict:
 def flatten_tuple(t, positions) -> tuple[int, ...]:
     """Relative order of the values of t at the given sorted positions."""
     vals = [t[p - 1] for p in positions]
-    order = sorted(range(len(vals)), key=lambda k: vals[k])
-    out = [0] * len(vals)
-    for rank, k in enumerate(order, start=1):
-        out[k] = rank
-    return tuple(out)
+    rank = {v: r for r, v in enumerate(sorted(vals), start=1)}
+    return tuple(rank[v] for v in vals)
 
 
 def is_good_flattening(w1: Permutation, w2: Permutation) -> PairVerdict:
@@ -309,9 +259,7 @@ def is_good_flattening(w1: Permutation, w2: Permutation) -> PairVerdict:
     for orbit in (w1.inverse() * w2).orbits():
         if len(orbit) < 2:
             continue
-        f1 = flatten_tuple(t1, orbit)
-        f2 = flatten_tuple(t2, orbit)
-        if not _tuples_leq(f1, f2):
+        if not _one_line_leq(flatten_tuple(t1, orbit), flatten_tuple(t2, orbit)):
             return _attach_type_a_witness(
                 PairVerdict(w1, w2, True, "bad", "flattening")
             )
@@ -348,7 +296,8 @@ def classify_block(n: int, lo: int, hi: int, summary: EnumerationSummary):
     ``violation`` is ``_box_violation(t1, t2)``, None for a good pair.
     ``summary`` counts the comparable and bad pairs as they stream."""
     tuples = lex_tuples(n)
-    guarded, guard = _packed_tableaux(tuples)
+    guarded, guards = zip(*map(_bruhat_key, tuples))
+    guard = guards[0]
     fields, times_inverse, count_guards = zip(*map(_prefix_fields, tuples))
     count_guard = count_guards[0]
     for i in range(lo, hi):

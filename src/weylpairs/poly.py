@@ -196,9 +196,6 @@ class SparsePolynomial:
         return bool(self._terms)
 
     # -- queries ----------------------------------------------------------------
-    def variables(self) -> set[Variable]:
-        return {v for mono in self._terms for v, _ in mono}
-
     def sorted_terms(self) -> list[tuple[tuple, Fraction]]:
         return sorted(self._terms.items(), key=lambda kv: _monomial_sort_key(kv[0]))
 

@@ -199,16 +199,16 @@ def build_from_cartan(cartan: Sequence[Sequence[int]], name: str = "") -> RootSy
                 raise ValueError("Cartan zero pattern must be symmetric")
     form = _symmetrize_cartan(cartan)
     simple = tuple(tuple(int(i == j) for j in range(r)) for i in range(r))
-    shell = RootSystem.__new__(RootSystem)  # closure needs pairing before validation
-    object.__setattr__(shell, "rank", r)
-    object.__setattr__(shell, "form", form)
     roots: set[Vector] = set(simple) | {tuple(-c for c in s) for s in simple}
     frontier = list(roots)
     while frontier:
         new = []
         for x in frontier:
-            for alpha in simple:
-                y = shell.reflect(alpha, x)
+            for j in range(r):
+                # s_j(x) = x - (sum_i x_i cartan[i][j]) alpha_j, by linearity
+                y = list(x)
+                y[j] -= sum(xi * row[j] for xi, row in zip(x, cartan))
+                y = tuple(y)
                 if y not in roots:
                     roots.add(y)
                     new.append(y)

@@ -287,41 +287,11 @@ def fiber_equations(w: Permutation, w_prime: Permutation) -> tuple[tuple[int, in
 def _random_upper_invertible(rng: random.Random, n: int) -> list[list[int]]:
     m = [[0] * n for _ in range(n)]
     for i in range(n):
-        for _ in range(100):
-            v = rng.randint(-COEFF_RANGE, COEFF_RANGE)
-            if v != 0:
-                m[i][i] = v
-                break
-        else:  # pragma: no cover - (2*COEFF_RANGE)^-100 chance
-            raise RuntimeError("could not draw a nonzero diagonal entry")
+        while not m[i][i]:
+            m[i][i] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
         for j in range(i + 1, n):
             m[i][j] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
     return m
-
-
-def _leading_minors(g: list[list[int]]) -> dict[tuple[int, ...], int]:
-    """For 1 <= d <= n-1 and every row subset (1-based) of size d, the minor
-    of g on those rows and its first d columns, in combination order.
-
-    Each minor is a Laplace expansion along its last column over the
-    minors of size d-1 of the previous level.
-    """
-    n = len(g)
-    out: dict[tuple[int, ...], int] = {}
-    previous: dict[tuple[int, ...], int] = {(): 1}
-    for d in range(1, n):
-        level = {}
-        for rows in itertools.combinations(range(1, n + 1), d):
-            total = 0
-            for pos, r in enumerate(rows):
-                entry = g[r - 1][d - 1]
-                if entry:
-                    term = entry * previous[rows[:pos] + rows[pos + 1 :]]
-                    total += -term if (d - 1 - pos) % 2 else term
-            level[rows] = total
-        out.update(level)
-        previous = level
-    return out
 
 
 def _sample_cell_point(
@@ -331,7 +301,14 @@ def _sample_cell_point(
     satisfies the given diagonal identifications t_p = t_q.  Every step runs
     on integers.
 
-    With g = b1 P_w b2 and Y = b1^{-1} psi b1, g^{-1} psi g is
+    The first d columns of g = b1 P_w b2 are columns w(1..d) of b1 times
+    the leading d x d block of b2, so by Cauchy-Binet the Pluecker
+    coordinate x_I of g is eps_d prod_{k<=d} b2[k][k] Delta^{S_d}_I(b1),
+    with S_d = sorted(w(1..d)) and eps_d the sign that sorts w(1..d).  The
+    minor of the upper-triangular b1 is the lambda^0 coefficient of the
+    shifted-minor engine's, and vanishes unless I <= S_d componentwise.
+
+    With Y = b1^{-1} psi b1, g^{-1} psi g is
     b2^{-1} (P_w^{-1} Y P_w) b2, which is upper triangular iff P_w^{-1} Y P_w
     is, i.e. iff Y[k][l] = 0 for every k < l with w^{-1}(k) > w^{-1}(l) (Y is
     upper triangular already).  So the constraints are these l(w) entries of
@@ -350,13 +327,14 @@ def _sample_cell_point(
     rng = random.Random(seed)
     b1 = _random_upper_invertible(rng, n)
     b2 = _random_upper_invertible(rng, n)
-    # P_w only permutes columns: (b1 P_w)[i][j] = b1[i][w(j+1)-1]
-    b1_pw = [[row[cell_w(j + 1) - 1] for j in range(n)] for row in b1]
-    g = [
-        [sum(row[k] * b2[k][j] for k in range(j + 1)) for j in range(n)]
-        for row in b1_pw
-    ]
-    plucker_values = _leading_minors(g)
+    minor = _shifted_minors([[0] * (n + 1), *([0, *row] for row in b1)])
+    plucker_values = {tup: 0 for d in range(1, n) for tup, _ in _x_vars(n, d)}
+    scale = 1
+    for d in range(1, n):
+        sign, s_d = normalize_plucker_indices(cell_w.one_line[:d])
+        scale *= b2[d - 1][d - 1]
+        for rows in _lower_sets(s_d):
+            plucker_values[rows] = sign * scale * minor(rows, s_d)[0]
     # adj = D b1^{-1}; scaling each constraint row by D keeps the kernel
     adj, _ = scaled_inverse(b1)
     position = {cell_w(j): j for j in range(1, n + 1)}  # w^{-1}
@@ -390,8 +368,8 @@ def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
 
     Draw invertible upper-triangular integer b1, b2 and set g = b1 P_w b2,
     so the flag of g lies in the cell; the Pluecker coordinates are the
-    leading-column minors of g, computed level by level by Laplace
-    expansion.  Then solve the exact linear system keeping psi
+    leading-column minors of g, read off the minors of b1 by Cauchy-Binet.
+    Then solve the exact linear system keeping psi
     upper-triangular with g^{-1} psi g upper-triangular: its l(w) rows say
     that b1^{-1} psi b1 vanishes at the inversions of w, built from
     adj(b1) = D b1^{-1}, and a random integer combination of the kernel basis,

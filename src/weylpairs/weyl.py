@@ -5,8 +5,8 @@ Two interchangeable group backends expose the same operations:
 * :class:`SymmetricGroup` — type A.  Elements are :class:`Permutation` values
   in one-line notation; positive roots are the index pairs ``(i, j)`` with
   ``i < j`` standing for ``e_i - e_j``; Bruhat order uses the box-count
-  criterion (u <= w iff every sorted prefix of u is componentwise <= the
-  matching sorted prefix of w).
+  criterion (u <= w iff u[i,j] <= w[i,j] for every box), on the counts
+  packed into one integer per permutation by ``_bruhat_key``.
 
 * :class:`ReflectionGroup` — any finite :class:`~weylpairs.roots.RootSystem`.
   Elements are indices into the generated group; each element is stored as
@@ -24,6 +24,8 @@ from __future__ import annotations
 import itertools
 import math
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable
 
 from .linalg import Vector, independent_subset, in_span, integer_kernel
 from .roots import RootSystem, build_named
@@ -65,13 +67,50 @@ def _inversions(values: OneLine) -> int:
     return sum(1 for a, b in itertools.combinations(values, 2) if a > b)
 
 
+# Packed box counts.  The box count w[i,j] = |{a <= i : w(a) >= j}| of the
+# Bruhat criterion varies only for i < n and j > 1, where it is at most
+# n - 1, so a field of (n - 1).bit_length() + 1 bits holds it under a guard
+# bit.  For U and W packed in such fields and H their guard bits,
+# ((W | H) - U) & H == H iff no field of U exceeds its field of W: guard +
+# w - u stays >= 1 in every field, so no borrow crosses into the next one
+# (SWAR, Lamport, CACM 1975).
+
 @lru_cache(maxsize=None)
-def _sorted_prefixes(values: OneLine) -> OneLine:
-    """Concatenation of sorted({w(1)..w(d)}) over d = 1..n, flattened."""
-    out: list[int] = []
-    for d in range(1, len(values) + 1):
-        out.extend(sorted(values[:d]))
-    return tuple(out)
+def _prefix_fields(t: OneLine) -> tuple[tuple[int, ...], Callable[[tuple], tuple], int]:
+    """Packed box counts of the one-line tuple t of S_n, in n - 1 fields:
+    ``fields[v]`` has a 1 in every field p >= pos_t(v) - 1, so field p of
+    a sum of them counts the values at positions <= p + 1.  Returns the
+    fields, a map from u to the one-line tuple of u t^{-1} (an itemgetter;
+    ``tuple`` in S_1, where one index would return the item) and the guard
+    mask of the n - 1 fields."""
+    n = len(t)
+    width = (n - 1).bit_length() + 1
+    ones = sum(1 << width * p for p in range(n - 1))
+    inverse = sorted(range(n), key=t.__getitem__)
+    fields = (0, *(ones >> width * idx << width * idx for idx in inverse))
+    return fields, (itemgetter(*inverse) if n > 1 else tuple), ones << width - 1
+
+
+@lru_cache(maxsize=None)
+def _bruhat_key(t: OneLine) -> tuple[int, int]:
+    """(K | H, H): the box counts t[i,j] for 1 <= i <= n - 1 and 2 <= j <= n
+    as one integer K, one block of ``_prefix_fields`` per j holding the sum
+    of the fields of the values >= j, with the guard bits H of its fields
+    set; and H.  For u, w of one S_n, u <= w iff ((K_w | H) - K_u) & H == H."""
+    fields, _, guard = _prefix_fields(t)
+    block = guard.bit_length()  # the top guard bit ends the last field
+    key = mask = above = 0
+    for v in range(len(t), 1, -1):
+        above += fields[v]
+        key = key << block | above
+        mask = mask << block | guard
+    return key | mask, mask
+
+
+def _one_line_leq(t1: OneLine, t2: OneLine) -> bool:
+    """Whether t1 <= t2 in Bruhat order, for one-line tuples of one S_n."""
+    (guarded1, guard), (guarded2, _) = _bruhat_key(t1), _bruhat_key(t2)
+    return (guarded2 - (guarded1 ^ guard)) & guard == guard
 
 
 @lru_cache(maxsize=None)
@@ -159,13 +198,10 @@ class Permutation:
         return _inversions(self.one_line)
 
     def bruhat_leq(self, other: "Permutation") -> bool:
-        """Box-count criterion via sorted-prefix domination."""
+        """Box-count criterion on the packed counts of ``_bruhat_key``."""
         if self.n != other.n:
             raise ValueError("Bruhat comparison across different ranks")
-        return all(
-            a <= b
-            for a, b in zip(_sorted_prefixes(self.one_line), _sorted_prefixes(other.one_line))
-        )
+        return _one_line_leq(self.one_line, other.one_line)
 
     def orbits(self) -> tuple[tuple[int, ...], ...]:
         """Cycles of the action on {1..n}, each sorted, ordered by minimum."""

@@ -100,6 +100,11 @@ def reference_minor(n, rows, cols, shift_lambda=False):
     return total
 
 
+def variables(p):
+    """The set of variables that occur in the polynomial p."""
+    return {v for mono in p._terms for v, _ in mono}
+
+
 def lambda_degree(p):
     """The highest power of lambda in the polynomial p."""
     # lambda is the last variable of the order, so the last of a monomial
@@ -132,6 +137,17 @@ def reference_p_polynomial(w, indices):
     for k in range(1, d + 1):
         diagonal = diagonal * (SparsePolynomial.variable(t_var(w(k))) + lam)
     return colinear - diagonal * SparsePolynomial.variable(x_var(indices))
+
+
+def reference_bruhat_leq(t1, t2):
+    """Whether t1 <= t2 in Bruhat order, for one-line tuples of one S_n, by
+    the sorted-prefix criterion: sorted(t1[:d]) <= sorted(t2[:d])
+    componentwise for every d.  Independent of the library's packed keys."""
+    return all(
+        a <= b
+        for d in range(1, len(t1) + 1)
+        for a, b in zip(sorted(t1[:d]), sorted(t2[:d]))
+    )
 
 
 def reference_box_count(w, i, j, sigma=None):

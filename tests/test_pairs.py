@@ -10,12 +10,9 @@ import pytest
 from weylpairs.mingen import min_gen_subsystem
 from weylpairs.pairs import (
     CRITERIA,
-    MAX_PACKED_N,
     EnumerationSummary,
     _box_violation,
     _leq_indices,
-    _packed_tableaux,
-    _tuples_leq,
     classify_block,
     enumerate_pairs,
     is_good_chain,
@@ -24,7 +21,7 @@ from weylpairs.pairs import (
     is_good_parabolic,
     lex_tuples,
 )
-from weylpairs.weyl import Permutation
+from weylpairs.weyl import Permutation, _bruhat_key
 
 from conftest import (
     all_perms,
@@ -32,6 +29,7 @@ from conftest import (
     longest_element,
     reference_box_count,
     reference_box_violation,
+    reference_bruhat_leq,
 )
 
 FIXTURE = json.loads(
@@ -290,32 +288,40 @@ def s5_s6_rows():
     ]
 
 
+def assert_rows_match_reference(tuples):
+    """``_leq_indices`` on the packed keys of lexicographically sorted
+    one-line tuples lists exactly the j >= i that the sorted-prefix
+    criterion puts above tuple i."""
+    guarded, guards = zip(*map(_bruhat_key, tuples))
+    for i, t1 in enumerate(tuples):
+        expected = [j for j, t2 in enumerate(tuples) if reference_bruhat_leq(t1, t2)]
+        assert _leq_indices(guarded, guards[0], i) == expected
+
+
 class TestFastPathsAgainstReferences:
     """The enumeration's packed comparability rows and box-violation shortcut
-    against the plain tableau criterion, direct box counts and the sorted
+    against the sorted-prefix criterion, direct box counts and the sorted
     position lists of ``reference_box_violation``."""
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_packed_rows_match_tuples_leq(self, n):
-        tuples = lex_tuples(n)
-        guarded, guard = _packed_tableaux(tuples)
-        for i, t1 in enumerate(tuples):
-            expected = [j for j, t2 in enumerate(tuples) if _tuples_leq(t1, t2)]
-            assert _leq_indices(guarded, guard, i) == expected
+        assert_rows_match_reference(lex_tuples(n))
 
     def test_packed_rows_at_the_widest_field(self):
-        rng = random.Random(3)
-        n = MAX_PACKED_N
-        tuples = sorted({tuple(rng.sample(range(1, n + 1), n)) for _ in range(60)})
-        tuples = [tuple(range(1, n + 1))] + tuples + [tuple(range(n, 0, -1))]
-        guarded, guard = _packed_tableaux(tuples)
-        for i, t1 in enumerate(tuples):
-            expected = [j for j, t2 in enumerate(tuples) if _tuples_leq(t1, t2)]
-            assert _leq_indices(guarded, guard, i) == expected
-
-    def test_packed_tableaux_reject_wider_values(self):
-        with pytest.raises(ValueError):
-            _packed_tableaux([tuple(range(1, MAX_PACKED_N + 2))])
+        """Box counts reach n - 1 = 15 at n = 16, the most a 5-bit field
+        holds under its guard bit; n = 15 was the largest n of the
+        sorted-prefix packing.  Random tuples meet few comparable pairs, so
+        each comes with a neighbour one transposition away."""
+        for n in (15, 16):
+            rng = random.Random(n)
+            tuples = {tuple(range(1, n + 1)), tuple(range(n, 0, -1))}
+            for _ in range(30):
+                t = rng.sample(range(1, n + 1), n)
+                tuples.add(tuple(t))
+                i, j = sorted(rng.sample(range(n), 2))
+                t[i], t[j] = t[j], t[i]
+                tuples.add(tuple(t))
+            assert_rows_match_reference(sorted(tuples))
 
     def test_box_violation_matches_box_counts_on_s5(self):
         n = 5
@@ -327,7 +333,7 @@ class TestFastPathsAgainstReferences:
 
         for w1 in perms:
             for w2 in perms:
-                if not _tuples_leq(w1.one_line, w2.one_line):
+                if not reference_bruhat_leq(w1.one_line, w2.one_line):
                     continue
                 failing = [
                     orbit for orbit in (w1 * w2.inverse()).orbits()
@@ -354,7 +360,7 @@ class TestFastPathsAgainstReferences:
         bad = [(t1, t2) for t1, t2, violation in s5_s6_rows if violation and len(t1) == 6]
         for t1, t2 in rng.sample(bad, 300):
             e1, e2 = embed_pair(t1, t2, n, rng)
-            assert _tuples_leq(e1, e2)
+            assert reference_bruhat_leq(e1, e2)
             expected = reference_box_violation(e1, e2)
             assert expected is not None, (e1, e2)
             assert _box_violation(e1, e2) == expected, (e1, e2)

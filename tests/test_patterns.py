@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from weylpairs.pairs import _box_violation, _tuples_leq, is_good_orbitwise
+from weylpairs.pairs import _box_violation, is_good_orbitwise
 from weylpairs.patterns import (
     LEFT_PATTERNS,
     RIGHT_PATTERNS,
@@ -19,7 +19,7 @@ from weylpairs.patterns import (
 )
 from weylpairs.weyl import Permutation
 
-from conftest import all_perms
+from conftest import all_perms, reference_bruhat_leq
 
 P = Permutation.from_string
 
@@ -180,7 +180,7 @@ class TestTheorem:
         tuples = list(itertools.permutations(range(1, n + 1)))
         bad = [
             (a, b) for a in tuples for b in tuples
-            if _tuples_leq(a, b) and _box_violation(a, b) is not None
+            if reference_bruhat_leq(a, b) and _box_violation(a, b) is not None
         ]
         assert bad_partner_sides(n) == {
             "left": {b for _, b in bad}, "right": {a for a, _ in bad}

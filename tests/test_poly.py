@@ -23,7 +23,7 @@ from weylpairs.poly import (
 from weylpairs.varieties import p_polynomials, point_assignment, sample_point_on_Vw
 from weylpairs.weyl import Permutation
 
-from conftest import fraction_det, lambda_coefficients, reference_minor
+from conftest import fraction_det, lambda_coefficients, reference_minor, variables
 
 F = Fraction
 
@@ -265,7 +265,7 @@ class TestLambdaCoefficients:
         total = SparsePolynomial.zero()
         power = SparsePolynomial.constant(1)
         for coeff in lambda_coefficients(p):
-            assert LAMBDA not in coeff.variables()
+            assert LAMBDA not in variables(coeff)
             total = total + coeff * power
             power = power * lam
         assert total == p

@@ -49,6 +49,7 @@ from conftest import (
     reference_kernel,
     reference_p_polynomial,
     simplified_incidence_check,
+    variables,
 )
 
 F = Fraction
@@ -237,7 +238,7 @@ class TestPPolynomials:
                     coeff = _coefficient_of_x(poly, indices)
                     assert coeff == expected
                     # every other projective variable dominates indices strictly
-                    for v in poly.variables():
+                    for v in variables(poly):
                         if v[0] == "x" and v[1] != indices:
                             assert subset_leq(indices, v[1]) and v[1] != indices
 

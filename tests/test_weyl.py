@@ -1,6 +1,7 @@
 """Group elements, length, Bruhat order, and parabolic machinery."""
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -14,7 +15,13 @@ from weylpairs.weyl import (
     symmetric_group,
 )
 
-from conftest import all_perms, bruhat_closure_oracle, longest_element, reference_box_count
+from conftest import (
+    all_perms,
+    bruhat_closure_oracle,
+    longest_element,
+    reference_box_count,
+    reference_bruhat_leq,
+)
 
 
 class TestPermutationBasics:
@@ -150,7 +157,7 @@ class TestBruhat:
         )
 
     def test_box_count_definition_agreement(self):
-        # the sorted-prefix test must match the raw box-count definition
+        # the packed box counts must match the raw box-count definition
         for w1 in all_perms(4):
             for w2 in all_perms(4):
                 boxes = all(
@@ -159,6 +166,22 @@ class TestBruhat:
                     for j in range(1, 5)
                 )
                 assert w1.bruhat_leq(w2) == boxes
+
+    @pytest.mark.parametrize("n", [8, 16, 17, 40])
+    def test_matches_sorted_prefix_criterion(self, n):
+        # n = 16 fills a 5-bit field, n = 17 is the first with 6 bits; a
+        # random permutation and one two transpositions away are often
+        # comparable, in either order
+        rng = random.Random(n)
+        for _ in range(300):
+            t1 = rng.sample(range(1, n + 1), n)
+            t2 = list(t1)
+            for _ in range(2):
+                i, j = rng.sample(range(n), 2)
+                t2[i], t2[j] = t2[j], t2[i]
+            w1, w2 = Permutation(t1), Permutation(t2)
+            assert w1.bruhat_leq(w2) == reference_bruhat_leq(w1.one_line, w2.one_line)
+            assert w2.bruhat_leq(w1) == reference_bruhat_leq(w2.one_line, w1.one_line)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_type_a_matches_closure_oracle(self, n):
