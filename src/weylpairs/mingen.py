@@ -3,12 +3,15 @@
 For w in a Weyl group, E_w = im(w - id) and Phi_w = Phi ∩ E_w.  The dimension
 d_w of E_w equals the word length of w over the alphabet of *all* reflections;
 :func:`reflection_length` computes that length independently by breadth-first
-search on the Cayley graph, so the two routes cross-check each other.
+search on the Cayley graph, so the two routes cross-check each other.  The
+search is kept on the group and grows on demand: a query expands elements,
+in breadth-first order, only until it reaches its own, so every query on one
+group shares a single BFS, whose memory is one entry per reached element, at
+most |W|.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 from .linalg import Vector, independent_subset, in_span
@@ -52,21 +55,20 @@ def min_gen_type_A_orbits(w: Permutation):
 def reflection_length(group, w) -> int:
     """BFS distance from the identity to w over all reflections.
 
-    Independent oracle for d_w; makes no use of E_w.
+    Independent oracle for d_w; makes no use of E_w.  The search is kept on
+    the group (``group._reflection_search``) and resumes where the last
+    query stopped, so all queries on one group share one BFS; it holds one
+    entry per reached element, at most |W|.
     """
-    ident = group.identity
-    if w == ident:
-        return 0
-    refl = [s for _, s in group.reflections()]
-    seen = {ident}
-    queue = deque([(ident, 0)])
-    while queue:
-        u, dist = queue.popleft()
+    dist, queue, refl = group._reflection_search
+    while w not in dist:
+        if not queue:
+            raise ValueError("element not reachable; groups disagree")
+        u = queue.popleft()
+        d = dist[u] + 1
         for s in refl:
             v = group.mul(s, u)
-            if v == w:
-                return dist + 1
-            if v not in seen:
-                seen.add(v)
-                queue.append((v, dist + 1))
-    raise ValueError("element not reachable; groups disagree")
+            if v not in dist:
+                dist[v] = d
+                queue.append(v)
+    return dist[w]

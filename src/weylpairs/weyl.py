@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import deque
 from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
@@ -146,10 +147,18 @@ class Permutation:
     __slots__ = ("one_line",)
 
     def __init__(self, values):
-        v = tuple(int(x) for x in values)
-        if sorted(v) != list(range(1, len(v) + 1)):
+        v = tuple(values)
+        if any(type(x) is not int for x in v) or sorted(v) != list(range(1, len(v) + 1)):
             raise ValueError(f"not a permutation of 1..{len(v)}: {v}")
         self.one_line = v
+
+    @classmethod
+    def _of(cls, one_line: tuple[int, ...]) -> "Permutation":
+        """Wrap a tuple that is a permutation by construction (a product,
+        inverse or adjacent swap of valid ones) without re-checking it."""
+        w = object.__new__(cls)
+        w.one_line = one_line
+        return w
 
     @classmethod
     def identity(cls, n: int) -> "Permutation":
@@ -186,13 +195,13 @@ class Permutation:
         mine, theirs = self.one_line, other.one_line
         if len(mine) != len(theirs):
             raise ValueError("product of permutations of different ranks")
-        return Permutation(mine[theirs[i] - 1] for i in range(len(mine)))
+        return Permutation._of(tuple(mine[t - 1] for t in theirs))
 
     def inverse(self) -> "Permutation":
         out = [0] * self.n
         for pos, val in enumerate(self.one_line):
             out[val - 1] = pos + 1
-        return Permutation(out)
+        return Permutation._of(tuple(out))
 
     def length(self) -> int:
         return _inversions(self.one_line)
@@ -224,6 +233,13 @@ class Permutation:
 
 def _reflections(group) -> list:
     return [(key, group.reflection(key)) for key in group.positive_keys]
+
+
+def _reflection_search(group) -> tuple:
+    """State of mingen.reflection_length's breadth-first search from the
+    identity over all reflections: the distance of every element reached so
+    far, the queue of reached elements not yet expanded, and the reflections."""
+    return {group.identity: 0}, deque([group.identity]), [s for _, s in group.reflections()]
 
 
 def _parabolic_decompose(group, w, J) -> tuple:
@@ -261,6 +277,7 @@ class SymmetricGroup:
         self.simple_keys = tuple(range(1, n))
         self._elements_by_length: list[Permutation] | None = None
         self._standardize_cache: dict[frozenset, tuple[Permutation, frozenset]] = {}
+        self._reflection_search = _reflection_search(self)
 
     # -- group operations ---------------------------------------------------
     def mul(self, a: Permutation, b: Permutation) -> Permutation:
@@ -329,7 +346,7 @@ class SymmetricGroup:
     def _right_mul_simple(self, w: Permutation, j: int) -> Permutation:
         v = list(w.one_line)
         v[j - 1], v[j] = v[j], v[j - 1]
-        return Permutation(v)
+        return Permutation._of(tuple(v))
 
     parabolic_decompose = _parabolic_decompose
     in_parabolic = _in_parabolic
@@ -379,12 +396,13 @@ class ReflectionGroup:
         frontier = [0]
         rmul: list[list[int]] = [[] for _ in gen_arrays]
         rmul_known: list[dict[int, int]] = [dict() for _ in gen_arrays]
+        compose = [itemgetter(*ga) for ga in gen_arrays]  # te -> te * ga
         while frontier:
             nxt = []
             for e in frontier:
                 te = tables[e]
-                for g, ga in enumerate(gen_arrays):
-                    comp = tuple(te[ga[k]] for k in range(self.nroots))
+                for g, get in enumerate(compose):
+                    comp = get(te)
                     idx = index.get(comp)
                     if idx is None:
                         idx = len(tables)
@@ -403,7 +421,7 @@ class ReflectionGroup:
         self.size = size
         self.rmul = rmul
         self.lmul = [
-            [index[tuple(ga[tables[e][k]] for k in range(self.nroots))] for e in range(size)]
+            [index[itemgetter(*tables[e])(ga)] for e in range(size)]
             for ga in gen_arrays
         ]
         inv = []
@@ -418,15 +436,19 @@ class ReflectionGroup:
         self._mingen_cache: dict[int, frozenset[int]] = {}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._standardize_cache: dict[frozenset, tuple[int, frozenset]] = {}
-        self._reflection_of_key: dict[int, int] | None = None
+        self._reflection_of_key: dict[int, int] = {
+            p: index[tuple(ridx[system.reflect(roots[p], r)] for r in roots)]
+            for p in self.positive_keys
+        }
         self._support_table: list[frozenset[int]] | None = None
+        self._reflection_search = _reflection_search(self)
 
     # -- group operations ---------------------------------------------------
     def mul(self, a: int, b: int) -> int:
         got = self._mul_cache.get((a, b))
         if got is None:
             ta, tb = self.tables[a], self.tables[b]
-            got = self.index[tuple(ta[tb[k]] for k in range(self.nroots))]
+            got = self.index[itemgetter(*tb)(ta)]
             self._mul_cache[(a, b)] = got
         return got
 
@@ -469,14 +491,6 @@ class ReflectionGroup:
 
     # -- roots and reflections ----------------------------------------------
     def reflection(self, key: int) -> int:
-        if self._reflection_of_key is None:
-            self._reflection_of_key = {}
-            for p in self.positive_keys:
-                alpha = self.root_vectors[p]
-                arr = tuple(
-                    self._ridx[self.system.reflect(alpha, r)] for r in self.root_vectors
-                )
-                self._reflection_of_key[p] = self.index[arr]
         return self._reflection_of_key[key]
 
     reflections = _reflections

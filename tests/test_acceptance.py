@@ -22,7 +22,7 @@ from weylpairs.pairs import (
     is_good_parabolic,
 )
 from weylpairs.patterns import has_pattern, verify_pattern_theorem
-from weylpairs.roots import subset_leq
+from weylpairs.roots import build_from_cartan, subset_leq
 from weylpairs.varieties import (
     additional_equation_scan,
     cell_equations,
@@ -33,9 +33,9 @@ from weylpairs.varieties import (
     sample_point_on_Vw,
     verify_witness,
 )
-from weylpairs.weyl import Permutation, reflection_group, symmetric_group
+from weylpairs.weyl import Permutation, ReflectionGroup, reflection_group, symmetric_group
 
-from conftest import additional_equation_holds, all_perms
+from conftest import BENCH_CARTAN, additional_equation_holds, all_perms
 
 F = Fraction
 P = Permutation.from_string
@@ -104,13 +104,15 @@ def test_criterion_2_pattern_theorem_up_to_n6():
 
 def test_criterion_3_reflection_length_and_bounds():
     def run():
-        # d_w equals the reflection word length
-        s5 = symmetric_group(5)
-        for w in all_perms(5):
-            assert min_gen_subsystem(s5, w).d_w == reflection_length(s5, w)
-        for name in ("B2", "B3", "G2"):
-            group = reflection_group(name)
-            for w in range(group.size):
+        # d_w equals the reflection word length, on S5/B2/B3/G2 and on the
+        # benchmark's crossval groups S6/B4/D4 (B4 and D4 built from Cartan)
+        general = [reflection_group(name) for name in ("B2", "B3", "G2")]
+        general += [ReflectionGroup(build_from_cartan(cartan, name=name))
+                    for name, cartan in BENCH_CARTAN.items()]
+        groups = [(symmetric_group(n), all_perms(n)) for n in (5, 6)]
+        groups += [(group, range(group.size)) for group in general]
+        for group, elements in groups:
+            for w in elements:
                 assert (
                     min_gen_subsystem(group, w).d_w == reflection_length(group, w)
                 )
@@ -139,7 +141,7 @@ def test_criterion_3_reflection_length_and_bounds():
             assert d_w <= w.length()
             assert (d_w == w.length()) == (w in distinct_products)
 
-    report(3, "d_w = reflection length on S5/B2/B3/G2; increment law on "
+    report(3, "d_w = reflection length on S5/S6/B2/B3/G2/B4/D4; increment law on "
               "S4/G2; d_w <= l(w) with the distinct-simple equality case on S5", run)
 
 

@@ -6,7 +6,8 @@ import pytest
 
 from weylpairs.linalg import in_span
 from weylpairs.mingen import min_gen_subsystem, min_gen_type_A_orbits, reflection_length
-from weylpairs.weyl import Permutation, symmetric_group
+from weylpairs.roots import build_named
+from weylpairs.weyl import Permutation, ReflectionGroup, SymmetricGroup, symmetric_group
 
 from conftest import all_perms
 
@@ -98,6 +99,71 @@ class TestReflectionLength:
         group = request.getfixturevalue(group_name)
         for w in range(group.size):
             assert reflection_length(group, w) == min_gen_subsystem(group, w).d_w
+
+
+def _fresh_group(name: str):
+    """A new group object, with a search state of its own; the library's
+    ``symmetric_group`` and ``reflection_group`` are cached per name."""
+    if name.startswith("S"):
+        return SymmetricGroup(int(name[1:]))
+    return ReflectionGroup(build_named(name))
+
+
+class TestResumableSearch:
+    """reflection_length keeps one breadth-first search per group and grows
+    it only as far as a query needs."""
+
+    @pytest.mark.parametrize("name", ["S5", "B3"])
+    def test_query_order_does_not_change_answers(self, name):
+        elements = _fresh_group(name).elements_by_length()
+        # one single query per fresh group: nothing resumed
+        expected = {w: reflection_length(_fresh_group(name), w) for w in elements}
+        far = max(elements, key=expected.get)
+        far_first = _fresh_group(name)
+        assert reflection_length(far_first, far) == expected[far]
+        assert {w: reflection_length(far_first, w) for w in elements} == expected
+        near_first = _fresh_group(name)
+        assert {w: reflection_length(near_first, w) for w in reversed(elements)} == expected
+        assert reflection_length(near_first, far) == expected[far]
+
+    @pytest.mark.parametrize("name", ["S5", "B3"])
+    def test_groups_of_one_type_share_no_state(self, name):
+        searched, untouched = _fresh_group(name), _fresh_group(name)
+        far = searched.elements_by_length()[-1]
+        reflection_length(searched, far)
+        assert len(searched._reflection_search[0]) > 1
+        assert untouched._reflection_search[0] == {untouched.identity: 0}
+        assert list(untouched._reflection_search[1]) == [untouched.identity]
+        for mine, theirs in zip(searched._reflection_search, untouched._reflection_search):
+            assert mine is not theirs
+
+    @pytest.mark.parametrize("name", ["S4", "B3"])
+    def test_unreachable_query_raises_and_the_group_still_answers(self, name):
+        group = _fresh_group(name)
+        stranger = Permutation.identity(5) if name == "S4" else group.size
+        with pytest.raises(ValueError, match="element not reachable"):
+            reflection_length(group, stranger)
+        for w in group.elements_by_length():
+            assert reflection_length(group, w) == min_gen_subsystem(group, w).d_w
+        with pytest.raises(ValueError, match="element not reachable"):
+            reflection_length(group, stranger)
+
+    @pytest.mark.parametrize("name", ["S5", "B3"])
+    def test_each_element_is_expanded_at_most_once(self, name, monkeypatch):
+        group = _fresh_group(name)
+        calls = 0
+        mul = group.mul
+
+        def counted(a, b):
+            nonlocal calls
+            calls += 1
+            return mul(a, b)
+
+        monkeypatch.setattr(group, "mul", counted)
+        elements = group.elements_by_length()
+        for w in elements[::-1] + elements:
+            reflection_length(group, w)
+        assert 0 < calls <= len(elements) * len(group.reflections())
 
 
 class TestIncrementLaw:

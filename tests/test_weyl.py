@@ -36,6 +36,13 @@ class TestPermutationBasics:
         with pytest.raises(ValueError):
             Permutation([1, 1, 2])
 
+    @pytest.mark.parametrize(
+        "values", [[1.9, 2.2], [1.0, 2.0], ["2", "1"], ["1", 2], [True, 2], [2, True]]
+    )
+    def test_rejects_entries_that_are_not_int(self, values):
+        with pytest.raises(ValueError, match="not a permutation"):
+            Permutation(values)
+
     @pytest.mark.parametrize("text", ["", "   "])
     def test_rejects_empty_string(self, text):
         with pytest.raises(ValueError, match="empty permutation"):
@@ -49,6 +56,35 @@ class TestPermutationBasics:
     def test_orbits(self):
         assert Permutation([4, 3, 2, 1]).orbits() == ((1, 4), (2, 3))
         assert Permutation([2, 3, 4, 1]).orbits() == ((1, 2, 3, 4),)
+
+
+class TestUncheckedResults:
+    """Products, inverses and adjacent swaps skip the constructor's check;
+    each must equal the validated permutation of the same one-line tuple."""
+
+    @staticmethod
+    def assert_validated(w, one_line):
+        v = Permutation(one_line)
+        assert type(w) is Permutation and type(w.one_line) is tuple
+        assert w == v and w.one_line == v.one_line and hash(w) == hash(v)
+
+    def test_products_and_inverses_on_s4(self):
+        perms = all_perms(4)
+        for a in perms:
+            self.assert_validated(a.inverse(), [a.one_line.index(i) + 1 for i in range(1, 5)])
+            for b in perms:
+                self.assert_validated(a * b, [a(b(i)) for i in range(1, 5)])
+
+    def test_adjacent_swaps_on_s4(self, s4):
+        for a in all_perms(4):
+            for j in s4.simple_keys:
+                v = list(a.one_line)
+                v[j - 1], v[j] = v[j], v[j - 1]
+                self.assert_validated(s4._right_mul_simple(a, j), v)
+
+    def test_product_of_different_ranks_raises(self):
+        with pytest.raises(ValueError, match="different ranks"):
+            Permutation.identity(3) * Permutation.identity(4)
 
 
 class TestSizePolicy:
