@@ -123,11 +123,14 @@ def integer_kernel(m: Matrix, ncols: int | None = None) -> tuple[list[list[int]]
     return basis, d
 
 
-def in_span(basis: Sequence[Vector], v: Vector) -> bool:
-    """Whether v lies in the span of the given vectors: v is not a pivot
-    column of the matrix whose columns are the vectors and then v."""
-    pivots, _ = _gauss_jordan(_integer_rows(list(zip(*basis, v))))
-    return len(basis) not in pivots
+def span_mask(vectors: Sequence[Vector], candidates: Sequence[Vector]) -> list[bool]:
+    """Whether each candidate c lies in the span of the vectors: over Q a
+    subspace is the orthogonal complement of its orthogonal complement, so
+    iff c . k = 0 for every k of the integer kernel of the vectors as rows."""
+    if not candidates:
+        return []
+    kernel, _ = integer_kernel(vectors, ncols=len(candidates[0]))
+    return [not any(sum(a * b for a, b in zip(c, k)) for k in kernel) for c in candidates]
 
 
 def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:

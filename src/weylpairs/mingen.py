@@ -14,8 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .linalg import Vector, independent_subset, in_span
-from .weyl import Permutation, symmetric_group
+from .linalg import Vector, independent_subset
+from .weyl import Permutation, _positive_in_span, symmetric_group
 
 
 @dataclass(frozen=True)
@@ -34,13 +34,9 @@ def min_gen_subsystem(group, w) -> MinGenSubsystem:
     """Compute E_w as the span of (w - id) applied to a spanning basis, then
     collect the roots contained in it."""
     basis = independent_subset(group.action_span_vectors(w))
-    pos = [p for p in group.positive_keys if in_span(basis, group.root_vector(p))]
-    phi = []
-    for p in pos:
-        v = group.root_vector(p)
-        phi.append(v)
-        phi.append(tuple(-c for c in v))
-    return MinGenSubsystem(e_w_basis=tuple(basis), phi_w=tuple(sorted(phi)))
+    pos = [group.root_vector(p) for p in _positive_in_span(group, basis)]
+    phi = sorted([*pos, *(tuple(-c for c in v) for v in pos)])
+    return MinGenSubsystem(e_w_basis=tuple(basis), phi_w=tuple(phi))
 
 
 def min_gen_type_A_orbits(w: Permutation):

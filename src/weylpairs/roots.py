@@ -15,6 +15,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from math import gcd, lcm
+from operator import mul
 from typing import Iterable, Sequence
 
 from .linalg import Vector
@@ -46,6 +47,8 @@ class RootSystem:
     simple_roots: tuple[Vector, ...]
     form: tuple[tuple[int, ...], ...]
     name: str = field(default="", compare=False)
+    # alpha -> ((alpha|alpha), form applied to alpha), filled by reflect
+    _reflection_data: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def pairing(self, x: Vector, y: Vector) -> int:
         """The invariant form (x | y)."""
@@ -54,13 +57,17 @@ class RootSystem:
     def reflect(self, alpha: Vector, x: Vector) -> Vector:
         """s_alpha(x) = x - c alpha with the integer c = 2 (x|alpha)/(alpha|alpha).
 
-        A vector x for which c is not an integer is off the root lattice and
+        (alpha|alpha) and the form applied to alpha are kept per alpha.  A
+        vector x for which c is not an integer is off the root lattice and
         raises ``ValueError``.
         """
-        norm = self.pairing(alpha, alpha)
-        if norm == 0:
-            raise InvalidRootError(f"isotropic reflection vector {alpha}")
-        c, rem = divmod(2 * self.pairing(x, alpha), norm)
+        if alpha not in self._reflection_data:
+            norm = self.pairing(alpha, alpha)
+            if norm == 0:
+                raise InvalidRootError(f"isotropic reflection vector {alpha}")
+            self._reflection_data[alpha] = norm, [sum(map(mul, row, alpha)) for row in self.form]
+        norm, form_alpha = self._reflection_data[alpha]
+        c, rem = divmod(2 * sum(map(mul, x, form_alpha)), norm)
         if rem:
             raise ValueError(f"{x} is off the lattice: 2(x|alpha)/(alpha|alpha) is not integral")
         return tuple(xi - c * ai for xi, ai in zip(x, alpha))
@@ -246,12 +253,14 @@ def subset_leq(a: Iterable[int], b: Iterable[int]) -> bool:
     return all(x <= y for x, y in zip(sa, sb))
 
 
-# named Cartan matrices used throughout the tests and CLI
+# named Cartan matrices used throughout the tests, CLI and benchmark
 CARTAN = {
     "A2": [[2, -1], [-1, 2]],
     "A3": [[2, -1, 0], [-1, 2, -1], [0, -1, 2]],
     "B2": [[2, -2], [-1, 2]],
     "B3": [[2, -1, 0], [-1, 2, -2], [0, -1, 2]],
+    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
+    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
     "G2": [[2, -1], [-3, 2]],
 }
 

@@ -152,13 +152,8 @@ def cell_equations(w: Permutation) -> CellDescription:
     for d in range(1, n):
         lead = _prefix_set(w, d)
         nonvan.append(lead)
-        vanishing.append(
-            tuple(
-                tup
-                for tup in itertools.combinations(range(1, n + 1), d)
-                if not subset_leq(tup, lead)
-            )
-        )
+        below = set(_lower_sets(lead))
+        vanishing.append(tuple(tup for tup, _ in _x_vars(n, d) if tup not in below))
     return CellDescription(tuple(nonvan), tuple(vanishing))
 
 

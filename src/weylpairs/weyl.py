@@ -12,6 +12,8 @@ Two interchangeable group backends expose the same operations:
   Elements are indices into the generated group; each element is stored as
   the permutation it induces on the root list, so composition is table
   lookup.  Bruhat order uses the subword recursion on one fixed reduced word.
+  Its Phi_w, Phi_J and ``mingen.min_gen_subsystem`` read one span test,
+  ``_positive_in_span``: one integer kernel per subspace.
 
 Both provide: ``identity``, ``mul``, ``inv``, ``length``, ``bruhat_leq``,
 ``reflections``, ``min_gen_positive`` (positive roots of the minimal
@@ -28,7 +30,7 @@ from functools import lru_cache
 from operator import itemgetter
 from typing import Callable
 
-from .linalg import Vector, independent_subset, in_span, integer_kernel
+from .linalg import Vector, span_mask
 from .roots import RootSystem, build_named
 
 
@@ -266,6 +268,14 @@ def _in_parabolic(group, w, J) -> bool:
     return coset_min == group.identity
 
 
+def _positive_in_span(group, vectors) -> frozenset:
+    """Positive root keys of the group whose roots lie in the span of the
+    vectors, by one ``span_mask`` for the whole subspace."""
+    keys = group.positive_keys
+    roots = [group.root_vector(p) for p in keys]
+    return frozenset(itertools.compress(keys, span_mask(vectors, roots)))
+
+
 class SymmetricGroup:
     """Type-A backend; root keys are pairs (i, j) with i < j for e_i - e_j."""
 
@@ -434,13 +444,13 @@ class ReflectionGroup:
         self.identity = 0
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._mingen_cache: dict[int, frozenset[int]] = {}
+        self._standard_cache: dict[frozenset, frozenset[int]] = {}
         self._bruhat_memo: dict[tuple[int, int], bool] = {}
         self._standardize_cache: dict[frozenset, tuple[int, frozenset]] = {}
         self._reflection_of_key: dict[int, int] = {
             p: index[tuple(ridx[system.reflect(roots[p], r)] for r in roots)]
             for p in self.positive_keys
         }
-        self._support_table: list[frozenset[int]] | None = None
         self._reflection_search = _reflection_search(self)
 
     # -- group operations ---------------------------------------------------
@@ -517,30 +527,19 @@ class ReflectionGroup:
         return out
 
     def min_gen_positive(self, w: int) -> frozenset[int]:
-        got = self._mingen_cache.get(w)
-        if got is None:
-            basis = independent_subset(self.action_span_vectors(w))
-            got = frozenset(
-                p for p in self.positive_keys if in_span(basis, self.root_vectors[p])
-            )
-            self._mingen_cache[w] = got
-        return got
+        if w not in self._mingen_cache:
+            self._mingen_cache[w] = _positive_in_span(self, self.action_span_vectors(w))
+        return self._mingen_cache[w]
 
     def standard_positive(self, J) -> frozenset[int]:
-        """Positive roots supported on the simple roots indexed by J."""
-        j_set = set(J)
-        out = []
-        for p in self.positive_keys:
-            support = self._simple_support(p)
-            if support <= j_set:
-                out.append(p)
-        return frozenset(out)
-
-    def _simple_support(self, key: int) -> frozenset[int]:
-        if self._support_table is None:
+        """Positive roots supported on the simple roots indexed by J: those
+        in their span, since every root is a sum of simple roots with
+        coefficients of one sign."""
+        j_set = frozenset(J)
+        if j_set not in self._standard_cache:
             simple = self.system.simple_roots
-            self._support_table = [_support_in_basis(simple, r) for r in self.root_vectors]
-        return self._support_table[key]
+            self._standard_cache[j_set] = _positive_in_span(self, [simple[j - 1] for j in j_set])
+        return self._standard_cache[j_set]
 
     # -- parabolic machinery --------------------------------------------------
     def right_descends(self, w: int, j: int) -> bool:
@@ -551,19 +550,6 @@ class ReflectionGroup:
 
     parabolic_decompose = _parabolic_decompose
     in_parabolic = _in_parabolic
-
-
-def _support_in_basis(basis: tuple[Vector, ...], v: Vector) -> frozenset[int]:
-    """1-based positions of the nonzero coefficients of v over a linearly
-    independent family (v must lie in its span): the nonzero entries of the
-    kernel vector sum_k c_k basis_k + c v = 0 with c != 0."""
-    cols = list(basis) + [v]
-    matrix = [[col[r] for col in cols] for r in range(len(v))]
-    numerators, _ = integer_kernel(matrix)
-    for k in numerators:
-        if k[-1] != 0:
-            return frozenset(j + 1 for j, c in enumerate(k[:-1]) if c != 0)
-    raise ValueError("vector is not in the span of the basis")
 
 
 def standardize_subsystem(group, phi_sub) -> tuple[object, frozenset[int]]:

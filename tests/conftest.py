@@ -40,13 +40,6 @@ from weylpairs.weyl import (  # noqa: E402
 )
 
 
-# the B4 and D4 Cartan matrices of the crossval benchmark workload
-BENCH_CARTAN = {
-    "B4": [[2, -1, 0, 0], [-1, 2, -1, 0], [0, -1, 2, -2], [0, 0, -1, 2]],
-    "D4": [[2, -1, 0, 0], [-1, 2, -1, -1], [0, -1, 2, 0], [0, -1, 0, 2]],
-}
-
-
 def fraction_mat_mul(a, b):
     bt = list(zip(*b))
     return [[sum((x * y for x, y in zip(row, col)), Fraction(0)) for col in bt] for row in a]
@@ -254,6 +247,14 @@ def reference_kernel(m, ncols):
             x[pc] = -s / rows[r][pc]
         basis.append(tuple(x))
     return basis, len(pivots)
+
+
+def reference_in_span(basis, v):
+    """Whether v lies in the span of the basis vectors: appending v as a row
+    leaves the rank of ``reference_kernel``'s Fraction reduction unchanged.
+    Independent of the library's fraction-free core and of ``span_mask``."""
+    ncols = len(v)
+    return reference_kernel(list(basis), ncols)[1] == reference_kernel([*basis, v], ncols)[1]
 
 
 # ---------------------------------------------------------------------------

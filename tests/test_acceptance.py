@@ -22,7 +22,7 @@ from weylpairs.pairs import (
     is_good_parabolic,
 )
 from weylpairs.patterns import has_pattern, verify_pattern_theorem
-from weylpairs.roots import build_from_cartan, subset_leq
+from weylpairs.roots import CARTAN, build_from_cartan, subset_leq
 from weylpairs.varieties import (
     additional_equation_scan,
     cell_equations,
@@ -35,7 +35,7 @@ from weylpairs.varieties import (
 )
 from weylpairs.weyl import Permutation, ReflectionGroup, reflection_group, symmetric_group
 
-from conftest import BENCH_CARTAN, additional_equation_holds, all_perms
+from conftest import additional_equation_holds, all_perms
 
 F = Fraction
 P = Permutation.from_string
@@ -107,8 +107,8 @@ def test_criterion_3_reflection_length_and_bounds():
         # d_w equals the reflection word length, on S5/B2/B3/G2 and on the
         # benchmark's crossval groups S6/B4/D4 (B4 and D4 built from Cartan)
         general = [reflection_group(name) for name in ("B2", "B3", "G2")]
-        general += [ReflectionGroup(build_from_cartan(cartan, name=name))
-                    for name, cartan in BENCH_CARTAN.items()]
+        general += [ReflectionGroup(build_from_cartan(CARTAN[name], name=name))
+                    for name in ("B4", "D4")]
         groups = [(symmetric_group(n), all_perms(n)) for n in (5, 6)]
         groups += [(group, range(group.size)) for group in general]
         for group, elements in groups:

@@ -13,7 +13,7 @@ from weylpairs.pairs import is_good_chain, is_good_parabolic
 from weylpairs.roots import CARTAN, build_from_cartan
 from weylpairs.weyl import Permutation, ReflectionGroup, reflection_group, symmetric_group
 
-from conftest import BENCH_CARTAN, all_perms
+from conftest import all_perms
 
 F = Fraction
 
@@ -76,7 +76,7 @@ def test_backends_agree_on_s4():
 def test_both_backends_build_int_vectors():
     """Root vectors, w - id images and E_w / Phi_w are ``int`` on both
     backends (``type`` is checked, since a ``Fraction`` compares equal)."""
-    d4 = ReflectionGroup(build_from_cartan(BENCH_CARTAN["D4"]))
+    d4 = ReflectionGroup(build_from_cartan(CARTAN["D4"]))
     b3 = reflection_group("B3")
     cases = [(symmetric_group(4), all_perms(4)), (b3, range(b3.size)), (d4, range(d4.size))]
     for group, elements in cases:

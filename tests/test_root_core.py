@@ -2,7 +2,9 @@
 
 import itertools
 import random
+import runpy
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -10,11 +12,11 @@ from hypothesis import strategies as st
 
 from weylpairs.linalg import (
     _integer_rows,
-    in_span,
     independent_subset,
     integer_kernel,
     rank,
     scaled_inverse,
+    span_mask,
 )
 from weylpairs.roots import (
     CARTAN,
@@ -25,8 +27,9 @@ from weylpairs.roots import (
     build_type_A,
     subset_leq,
 )
+from weylpairs.weyl import reflection_group
 
-from conftest import BENCH_CARTAN, fraction_det, fraction_mat_mul, reference_kernel
+from conftest import fraction_det, fraction_mat_mul, reference_in_span, reference_kernel
 
 F = Fraction
 
@@ -116,6 +119,20 @@ class TestBuildFromCartan:
             cartan = CARTAN[f"A{n - 1}"]
             assert len(build_from_cartan(cartan).roots) == n * (n - 1)
 
+    def test_b4_and_d4_counts_and_orders(self):
+        # |Phi| = 2n^2 for B_n and 2n(n - 1) for D_n; |W| = 2^n n! and 2^(n-1) n!
+        for name, nroots, order in (("B4", 32, 384), ("D4", 24, 192)):
+            assert len(build_from_cartan(CARTAN[name]).roots) == nroots
+            assert reflection_group(name).size == order
+
+    def test_benchmark_cartan_matrices_are_the_library_ones(self):
+        # bench/workloads.py writes its crossval Cartan matrices out itself
+        path = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+        bench_cartan = runpy.run_path(str(path))["CARTAN"]
+        assert bench_cartan
+        for name, cartan in bench_cartan.items():
+            assert cartan == CARTAN[name]
+
     def test_affine_matrix_rejected(self):
         with pytest.raises(NotFiniteTypeError):
             build_from_cartan([[2, -2], [-2, 2]])
@@ -175,7 +192,7 @@ class TestReflect:
 def _build(name):
     if name.startswith("A"):
         return build_type_A(int(name[1:]) + 1)
-    return build_from_cartan({**CARTAN, **BENCH_CARTAN}[name], name=name)
+    return build_from_cartan(CARTAN[name], name=name)
 
 
 def _all_int(vectors):
@@ -199,7 +216,7 @@ class TestIntegerFormat:
 
     @pytest.mark.parametrize("name", ["A2", "A3", "B2", "B3", "B4", "D4", "G2"])
     def test_form_recovers_the_cartan_matrix(self, name):
-        cartan = {**CARTAN, **BENCH_CARTAN}[name]
+        cartan = CARTAN[name]
         form = build_from_cartan(cartan).form
         r = len(cartan)
         for i in range(r):
@@ -324,10 +341,61 @@ class TestKernel:
 class TestMatrixHelpers:
     def test_in_span_and_independent_subset(self):
         v1, v2 = (F(1), F(0), F(1)), (F(0), F(1), F(1))
-        assert in_span([v1, v2], (F(1), F(1), F(2)))
-        assert not in_span([v1, v2], (F(0), F(0), F(1)))
+        assert reference_in_span([v1, v2], (F(1), F(1), F(2)))
+        assert not reference_in_span([v1, v2], (F(0), F(0), F(1)))
+        assert span_mask([v1, v2], [(F(1), F(1), F(2)), (F(0), F(0), F(1))]) == [True, False]
         picked = independent_subset([v1, v1, v2, (F(1), F(1), F(2))])
         assert picked == [v1, v2]
+
+
+SPAN_GROUPS = ("B2", "B3", "G2", "A3", "B4", "D4")
+
+
+def _span_group_elements(name):
+    """Every element of the small groups, 200 seeded draws from B4 and D4."""
+    group = reflection_group(name)
+    if group.size <= 48:
+        return group, range(group.size)
+    rng = random.Random(name)
+    return group, [rng.randrange(group.size) for _ in range(200)]
+
+
+class TestSpanMask:
+    """``span_mask`` against ``reference_in_span``, the Fraction reduction."""
+
+    @staticmethod
+    def _agree(vectors, candidates):
+        expected = [reference_in_span(vectors, c) for c in candidates]
+        assert span_mask(vectors, candidates) == expected
+        return expected
+
+    @pytest.mark.parametrize("name", SPAN_GROUPS)
+    def test_positive_roots_in_every_action_span(self, name):
+        group, elements = _span_group_elements(name)
+        roots = [group.root_vector(p) for p in group.positive_keys]
+        for w in elements:
+            self._agree(group.action_span_vectors(w), roots)
+
+    @pytest.mark.parametrize("name", SPAN_GROUPS)
+    def test_positive_roots_in_every_span_of_simple_roots(self, name):
+        group = reflection_group(name)
+        simple = group.system.simple_roots
+        roots = [group.root_vector(p) for p in group.positive_keys]
+        for r in range(len(simple) + 1):
+            for subset in itertools.combinations(simple, r):
+                inside = self._agree(list(subset), roots)
+                assert sum(inside) >= r
+
+    def test_fraction_rows(self):
+        vectors = [(F(1, 2), F(1, 3), F(0)), (F(2), F(0), F(-1, 5))]
+        candidates = [(F(5, 2), F(1, 3), F(-1, 5)), (F(1), F(2, 3), F(0)), (0, 1, 0), (0, 0, 0)]
+        assert self._agree(vectors, candidates) == [True, True, False, True]
+
+    def test_empty_vectors_span_only_zero(self):
+        assert self._agree([], [(0, 0, 0), (1, 0, 0), (F(0), F(0), F(1, 2))]) == [
+            True, False, False,
+        ]
+        assert span_mask([], []) == []
 
 
 def random_entry(rng):

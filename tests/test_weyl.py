@@ -6,11 +6,11 @@ from pathlib import Path
 
 import pytest
 
-from weylpairs.linalg import in_span
 from weylpairs.weyl import (
     SIZE_LIMITS,
     Permutation,
     check_size,
+    reflection_group,
     standardize_subsystem,
     symmetric_group,
 )
@@ -21,6 +21,7 @@ from conftest import (
     longest_element,
     reference_box_count,
     reference_bruhat_leq,
+    reference_in_span,
 )
 
 
@@ -330,9 +331,34 @@ class TestStandardize:
             for J in itertools.combinations(group.simple_keys, r):
                 basis = [group.root_vector(group.simple_root_key(j)) for j in J]
                 expected = {
-                    p for p in group.positive_keys if in_span(basis, group.root_vector(p))
+                    p for p in group.positive_keys
+                    if reference_in_span(basis, group.root_vector(p))
                 }
                 assert group.standard_positive(J) == expected
+
+    @pytest.mark.parametrize("name", ["B2", "B3", "G2", "B4", "D4"])
+    def test_reflection_group_standard_positive_is_the_coordinate_support(self, name):
+        # in Cartan coordinates a positive root lies in Phi_J iff its nonzero
+        # coordinates are indexed by J
+        group = reflection_group(name)
+        for r in range(len(group.simple_keys) + 1):
+            for J in itertools.combinations(group.simple_keys, r):
+                expected = {
+                    p for p in group.positive_keys
+                    if all(c == 0 or j in J
+                           for j, c in enumerate(group.root_vector(p), start=1))
+                }
+                assert group.standard_positive(J) == expected
+
+    def test_a3_standard_positive_is_the_interval_rule(self):
+        # the generic span test and type A's interval rule, through root vectors
+        rg, sg = reflection_group("A3"), symmetric_group(4)
+        assert rg.simple_keys == sg.simple_keys
+        for r in range(len(sg.simple_keys) + 1):
+            for J in itertools.combinations(sg.simple_keys, r):
+                assert {rg.root_vector(p) for p in rg.standard_positive(J)} == {
+                    sg.root_vector(k) for k in sg.standard_positive(J)
+                }
 
     def test_empty_set(self, s4):
         u, j_set = standardize_subsystem(s4, frozenset())
