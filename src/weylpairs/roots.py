@@ -11,6 +11,7 @@ roots of an arbitrary finite-type Cartan matrix, in simple-root coordinates.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -265,8 +266,20 @@ CARTAN = {
 }
 
 
+def canonical_name(name: str) -> str:
+    """``name`` upper-cased if ``build_named`` builds it: A<r> for r >= 1 or
+    a key of ``CARTAN``.  Raises ``ValueError`` naming the accepted types."""
+    key = name.upper()
+    if key in CARTAN or re.fullmatch("A[1-9][0-9]*", key):
+        return key
+    raise ValueError(
+        f"unknown root system {name!r}: expected A<r> with r >= 1 or one of "
+        + ", ".join(sorted(CARTAN))
+    )
+
+
 def build_named(name: str) -> RootSystem:
-    if name.upper().startswith("A"):
-        n = int(name[1:]) + 1
-        return build_type_A(n)
-    return build_from_cartan(CARTAN[name.upper()], name=name.upper())
+    key = canonical_name(name)
+    if key.startswith("A"):
+        return build_type_A(int(key[1:]) + 1)
+    return build_from_cartan(CARTAN[key], name=key)

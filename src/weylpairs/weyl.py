@@ -11,7 +11,8 @@ Two interchangeable group backends expose the same operations:
 * :class:`ReflectionGroup` — any finite :class:`~weylpairs.roots.RootSystem`.
   Elements are indices into the generated group; each element is stored as
   the permutation it induces on the root list, so composition is table
-  lookup.  Bruhat order uses the subword recursion on one fixed reduced word.
+  lookup.  Bruhat order reads one lower-ideal bitset per element, built on
+  demand from the right-multiplication table by the lifting property.
   Its Phi_w, Phi_J and ``mingen.min_gen_subsystem`` read one span test,
   ``_positive_in_span``: one integer kernel per subspace.
 
@@ -31,7 +32,7 @@ from operator import itemgetter
 from typing import Callable
 
 from .linalg import Vector, span_mask
-from .roots import RootSystem, build_named
+from .roots import RootSystem, build_named, canonical_name
 
 
 class InternalInvariantError(RuntimeError):
@@ -377,7 +378,8 @@ class ReflectionGroup:
     """Weyl group of an arbitrary finite root system, elements as root tables.
 
     Elements are integer handles; 0 is the identity.  Kept small on purpose:
-    the whole group is generated eagerly by BFS over the simple reflections.
+    the whole group is generated eagerly by BFS over the simple reflections,
+    so handles are in length order.  Bruhat order reads ``_lower_ideal``.
     """
 
     def __init__(self, system: RootSystem):
@@ -405,8 +407,8 @@ class ReflectionGroup:
         lengths = [0]
         frontier = [0]
         rmul: list[list[int]] = [[] for _ in gen_arrays]
-        rmul_known: list[dict[int, int]] = [dict() for _ in gen_arrays]
         compose = [itemgetter(*ga) for ga in gen_arrays]  # te -> te * ga
+        # BFS expands in index order: the e-th append to rmul[g] is e * s_g
         while frontier:
             nxt = []
             for e in frontier:
@@ -420,20 +422,13 @@ class ReflectionGroup:
                         index[comp] = idx
                         lengths.append(lengths[e] + 1)
                         nxt.append(idx)
-                    rmul_known[g][e] = idx
+                    rmul[g].append(idx)
             frontier = nxt
-        size = len(tables)
-        for g in range(len(gen_arrays)):
-            rmul[g] = [rmul_known[g][e] for e in range(size)]
         self.tables = tables
         self.index = index
         self.lengths = lengths
-        self.size = size
+        self.size = len(tables)
         self.rmul = rmul
-        self.lmul = [
-            [index[itemgetter(*tables[e])(ga)] for e in range(size)]
-            for ga in gen_arrays
-        ]
         inv = []
         for t in tables:
             it = [0] * self.nroots
@@ -445,7 +440,7 @@ class ReflectionGroup:
         self._mul_cache: dict[tuple[int, int], int] = {}
         self._mingen_cache: dict[int, frozenset[int]] = {}
         self._standard_cache: dict[frozenset, frozenset[int]] = {}
-        self._bruhat_memo: dict[tuple[int, int], bool] = {}
+        self._bruhat_memo: dict[int, int] = {0: 1}  # w -> _lower_ideal(w)
         self._standardize_cache: dict[frozenset, tuple[int, frozenset]] = {}
         self._reflection_of_key: dict[int, int] = {
             p: index[tuple(ridx[system.reflect(roots[p], r)] for r in roots)]
@@ -471,33 +466,25 @@ class ReflectionGroup:
     def elements_by_length(self) -> list[int]:
         return sorted(range(self.size), key=lambda e: (self.lengths[e], self.tables[e]))
 
-    def _left_descent(self, w: int) -> int:
-        for g in range(len(self.lmul)):
-            if self.lengths[self.lmul[g][w]] < self.lengths[w]:
-                return g
-        raise InternalInvariantError("non-identity element with no left descent")
-
-    def _bruhat_recursive(self, u: int, w: int) -> bool:
-        if u == w or u == 0:
-            return True
-        if self.lengths[u] >= self.lengths[w]:
-            return False
-        key = (u, w)
-        got = self._bruhat_memo.get(key)
-        if got is not None:
-            return got
-        g = self._left_descent(w)
-        w2 = self.lmul[g][w]
-        u2 = self.lmul[g][u]
-        if self.lengths[u2] < self.lengths[u]:
-            res = self._bruhat_recursive(u2, w2)
-        else:
-            res = self._bruhat_recursive(u, w2)
-        self._bruhat_memo[key] = res
-        return res
+    def _lower_ideal(self, w: int) -> int:
+        """Bitset of the Bruhat interval [e, w]: bit u is set iff u <= w.
+        For a right descent s of w, [e, w] = [e, ws] ∪ [e, ws]·s, by the
+        lifting property (Björner–Brenti, Combinatorics of Coxeter Groups,
+        §2.2)."""
+        ideal = self._bruhat_memo.get(w)
+        if ideal is None:
+            j = next(j for j in self.simple_keys if self.right_descends(w, j))
+            row = self.rmul[j - 1]
+            ideal = rest = self._lower_ideal(row[w])
+            while rest:
+                low = rest & -rest
+                ideal |= 1 << row[low.bit_length() - 1]
+                rest ^= low
+            self._bruhat_memo[w] = ideal
+        return ideal
 
     def bruhat_leq(self, u: int, w: int) -> bool:
-        return self._bruhat_recursive(u, w)
+        return self._lower_ideal(w) >> u & 1 == 1
 
     # -- roots and reflections ----------------------------------------------
     def reflection(self, key: int) -> int:
@@ -591,6 +578,12 @@ def symmetric_group(n: int) -> SymmetricGroup:
     return SymmetricGroup(n)
 
 
-@lru_cache(maxsize=None)
 def reflection_group(name: str) -> ReflectionGroup:
+    """The group of a named root system (``roots.build_named``), built once
+    per system however its name is cased."""
+    return _reflection_group(canonical_name(name))
+
+
+@lru_cache(maxsize=None)
+def _reflection_group(name: str) -> ReflectionGroup:
     return ReflectionGroup(build_named(name))

@@ -9,8 +9,11 @@ belongs in ``tests/conftest.py``.
 """
 
 import ast
+import runpy
 from collections import Counter
 from pathlib import Path
+
+from weylpairs.weyl import reflection_group
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylpairs"
 
@@ -113,3 +116,14 @@ def test_the_search_finds_an_unreached_method(tmp_path):
     assert unreached_public_methods(tmp_path) == [
         ("a.py", "Thing", "recursive"), ("a.py", "Thing", "orphan"),
     ]
+
+
+def test_traced_memos_are_reflection_group_attributes():
+    # bench/tracing.py sizes these ReflectionGroup dicts by name for the
+    # weyl.*.size metrics of `bench/run.py --trace 1`; it imports only the
+    # standard library
+    tracing = runpy.run_path(str(SRC.parent.parent / "bench" / "tracing.py"))
+    group = reflection_group("B3")
+    assert tracing["MEMOS"]
+    for name in tracing["MEMOS"]:
+        len(getattr(group, name))  # raises if the name is gone or unsized

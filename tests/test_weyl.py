@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from weylpairs.roots import build_named
 from weylpairs.weyl import (
     SIZE_LIMITS,
     Permutation,
@@ -176,6 +177,14 @@ class TestLength:
                 negated = sum(1 for p in group.positive_keys if table[p] not in pos)
                 assert group.length(w) == negated
 
+    @pytest.mark.parametrize("name", ["B3", "D4"])
+    def test_reflection_group_indices_follow_length_and_rmul(self, name):
+        group = reflection_group(name)
+        assert group.lengths == sorted(group.lengths)
+        for g, row in enumerate(group.rmul):
+            s = group.reflection(group.simple_root_key(g + 1))
+            assert row == [group.mul(e, s) for e in range(group.size)]
+
     def test_general_reflection_flips_length_parity(self, b3):
         for w in range(b3.size):
             for _, s in b3.reflections():
@@ -228,12 +237,26 @@ class TestBruhat:
             for w in all_perms(n):
                 assert group.bruhat_leq(u, w) == (w in below[u])
 
-    def test_b2_g2_match_closure_oracle(self, b2, g2):
-        for group in (b2, g2):
-            below = bruhat_closure_oracle(group)
-            for u in range(group.size):
-                for w in range(group.size):
-                    assert group.bruhat_leq(u, w) == (w in below[u])
+    @pytest.mark.parametrize("name", ["B2", "G2", "B3", "B4", "D4", "A3"])
+    def test_reflection_group_matches_closure_oracle(self, name):
+        group = reflection_group(name)
+        below = bruhat_closure_oracle(group)
+        for u in range(group.size):
+            for w in range(group.size):
+                assert group.bruhat_leq(u, w) == (w in below[u])
+        # one lower ideal per element, not one entry per pair
+        assert len(group._bruhat_memo) <= group.size
+
+
+class TestReflectionGroupNames:
+    @pytest.mark.parametrize("name", ["E6", "A", "Ax"])
+    def test_unknown_name_names_the_accepted_types(self, name):
+        for build in (reflection_group, build_named):
+            with pytest.raises(ValueError, match="A<r> with r >= 1 or one of A2, A3, B2"):
+                build(name)
+
+    def test_one_group_per_system_however_cased(self):
+        assert reflection_group("b3") is reflection_group("B3")
 
 
 class TestReflections:
