@@ -280,16 +280,6 @@ def _merge_monomials(m1, m2):
         return m2
     if not m2:
         return m1
-    m1, m2 = (m2, m1) if len(m2) == 1 else (m1, m2)
-    if len(m1) == 1:  # one variable: insert it, as in u * a minor
-        (v, e), key = m1[0], _var_key(m1[0][0])
-        for i in range(len(m2) - 1, -1, -1):  # from the end: minors grow by later rows
-            v2, e2 = m2[i]
-            if v == v2:
-                return m2[:i] + ((v, e + e2),) + m2[i + 1 :]
-            if _var_key(v2) < key:
-                return m2[: i + 1] + m1 + m2[i + 1 :]
-        return m1 + m2
     d = dict(m1)
     for v, e in m2:
         d[v] = d.get(v, 0) + e

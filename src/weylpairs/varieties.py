@@ -24,17 +24,20 @@ elementary symmetric polynomial.  Every shifted minor comes from one engine,
 ``poly._shifted_minors``: a memoised Laplace expansion that returns
 Delta^j_i(A + lambda id) as its list of lambda-coefficients, for a matrix A of
 numbers or of polynomials, and checks each minor's top coefficient as it
-goes.  On the generic matrix it gives the M_{i,j,s}; ``_colinearity_index``
-checks their degrees, and the polynomials P_{w,i,s} are built from them only
-on request (``EquationSet.p_equations``).  A point is checked on its own
-numbers instead, without any polynomial: the engine runs on the point's (u, t)
-matrix, only for the j with x_j(pt) != 0, and every coefficient of
+goes.  The colinearity sum over j and the i below it is written once,
+``_colinearity_totals``, and runs on either kind of matrix.  On the generic
+matrix, with every x_j, it gives the C_{i,s}; ``_colinearity_sum`` checks
+their degrees, and the polynomials P_{w,i,s} are built from them only on
+request (``EquationSet.p_equations``).  A point is checked on its own numbers
+instead, without any polynomial: the sum runs on the point's (u, t) matrix,
+only over the j with x_j(pt) != 0, and every coefficient of
 sum_j Delta^j_i x_j - prod_{k<=d} (t_{w(k)} + lambda) x_i must vanish.
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
 neither needs a ``Fraction``; a diagonal that a caller hands to
-``verify_witness`` may still be rational, and is checked just as exactly.
+``verify_witness`` may still be rational, and is checked just as exactly, but
+an entry that is neither ``int`` nor ``Fraction`` raises ``ValueError``.
 """
 
 from __future__ import annotations
@@ -42,6 +45,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional
@@ -60,7 +64,6 @@ from .poly import (
     var_name,
     x_var,
 )
-from .roots import subset_leq
 from .weyl import Permutation, check_size
 
 DEFAULT_SEED = 42
@@ -167,47 +170,42 @@ def _x_vars(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     return tuple((tup, x_var(tup)) for tup in itertools.combinations(range(1, n + 1), d))
 
 
+def _colinearity_totals(minor, support: dict) -> dict:
+    """I -> the lambda-coefficients of sum_J Delta^J_I(A + lambda id) x_J,
+    lowest first and d + 1 long, with ``minor`` the engine on A and J running
+    over ``support`` (J -> x_J, all of dimension d).  Only the I below some J
+    componentwise have a nonzero sum, and only they appear."""
+    totals: dict = {}
+    for tup, x_j in support.items():
+        for indices in _lower_sets(tup):
+            terms = [m * x_j for m in minor(indices, tup)]
+            total = totals.get(indices)
+            totals[indices] = terms if total is None else [
+                acc + term for acc, term in zip(total, terms)
+            ]
+    return totals
+
+
 @lru_cache(maxsize=None)
-def _colinearity_index(n: int, indices: tuple[int, ...]) -> dict:
-    """J -> (M_{I,J,0}, ..., M_{I,J,d-1}) for every J >= I componentwise,
-    the J with a nonzero shifted minor Delta^J_I(u + lambda id), M_{I,J,s}
-    being its lambda^s coefficient and d = |I|.  The minors are the engine's
-    lists on the generic matrix, which has checked their lambda^d coefficient
-    (1 for J = I, 0 otherwise) and has no entry for a higher power, so
-    P_{w,I,s} exists for s < d only.  The check that needs polynomials runs
-    here, once for all w: M_{I,J,s} is homogeneous of (u, t)-degree d - s,
-    like e_{d-s}(t), so P_{w,I,s} is homogeneous."""
-    d = len(indices)
-    minor = _generic_minors(n)
-    index = {}
-    for tup, _ in _x_vars(n, d):
-        if not subset_leq(indices, tup):
-            continue
-        coeffs = [SparsePolynomial.zero() + c for c in minor(indices, tup)[:d]]
-        for s, c in enumerate(coeffs):
-            if not c.degrees() <= {d - s}:
+def _colinearity_sum(n: int, d: int) -> dict:
+    """I -> (C_{I,0}, ..., C_{I,d-1}) for every d-subset I, C_{I,s} being the
+    lambda^s coefficient of the colinearity sum on the generic matrix;
+    independent of w.  The engine has checked the lambda^d coefficients, and
+    the check that needs polynomials runs here, once for all w: C_{I,s} is
+    homogeneous of degree d - s + 1, like e_{d-s}(t) x_I.  Its terms
+    M_{I,J,s} x_J carry distinct x_J, so this holds iff every M_{I,J,s} has
+    (u, t)-degree d - s."""
+    support = {tup: SparsePolynomial.variable(x) for tup, x in _x_vars(n, d)}
+    sums = {}
+    for indices, total in _colinearity_totals(_generic_minors(n), support).items():
+        for s, c in enumerate(total[:d]):
+            if not c.degrees() <= {d - s + 1}:
                 raise VerificationFailedError(
-                    f"the lambda^{s} coefficient of the shifted minor of {indices} x {tup} "
-                    f"(n = {n}) has a monomial of degree != {d - s}"
+                    f"the lambda^{s} coefficient of the colinearity sum of {indices} "
+                    f"(n = {n}) has a monomial of degree != {d - s + 1}"
                 )
-        index[tup] = tuple(coeffs)
-    return index
-
-
-@lru_cache(maxsize=None)
-def _colinearity_sum(n: int, indices: tuple[int, ...]) -> tuple[SparsePolynomial, ...]:
-    """(C_{I,0}, ..., C_{I,d-1}) with C_{I,s} = sum_J M_{I,J,s} x_J, the
-    lambda^s coefficient of the colinearity sum; independent of w."""
-    index = _colinearity_index(n, indices)
-    terms = [
-        (index[tup], SparsePolynomial.variable(x))
-        for tup, x in _x_vars(n, len(indices))
-        if tup in index
-    ]
-    return tuple(
-        sum((m[s] * x_j for m, x_j in terms), SparsePolynomial.zero())
-        for s in range(len(indices))
-    )
+        sums[indices] = tuple(total[:d])
+    return sums
 
 
 @dataclass
@@ -234,9 +232,10 @@ class EquationSet:
         for d in range(1, n):
             prefix = _prefix_set(w, d)
             diagonal = _generic_minors(n)(prefix, prefix)
+            sums = _colinearity_sum(n, d)
             for indices, x in _x_vars(n, d):
                 x_i = SparsePolynomial.variable(x)
-                for s, c in enumerate(_colinearity_sum(n, indices)):
+                for s, c in enumerate(sums[indices]):
                     p_eqs[(d, indices, s)] = c - diagonal[s] * x_i
         return p_eqs
 
@@ -410,28 +409,18 @@ def _lower_sets(cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool:
     """Whether every P_{w,I,s} vanishes at the point, tested on the point's
-    own numbers: with A its (u, t) matrix, the lambda^s coefficient of
-    sum_J Delta^J_I(A + lambda id) x_J must equal that of
-    prod_{k<=d} (t_{w(k)} + lambda) x_I for every s < d.  J runs over the
-    support of dimension d (the x_J != 0) above I, since Delta^J_I vanishes
-    unless I <= J componentwise.  The engine checks each minor's top
-    coefficient as it computes it."""
+    own numbers: with A its (u, t) matrix, the colinearity sum over the
+    support of dimension d (the x_J != 0) must equal
+    prod_{k<=d} (t_{w(k)} + lambda) x_I coefficient by coefficient.  The
+    engine checks each minor's top coefficient as it computes it."""
     n = eqs.n
     a = _upper_matrix(n, point)
     minor = _shifted_minors(a)
     for d, support in enumerate(supports, start=1):
         prefix = _prefix_set(eqs.w, d)
         diagonal = minor(prefix, prefix)  # prod_{k<=d} (t_{w(k)} + lambda)
-        totals: dict = {}
-        for tup, x_j in support.items():
-            for indices in _lower_sets(tup):
-                terms = [m * x_j for m in minor(indices, tup)]
-                total = totals.get(indices)
-                totals[indices] = terms if total is None else [
-                    acc + term for acc, term in zip(total, terms)
-                ]
         # an I that no J of the support lies above has a zero sum and x_I = 0
-        for indices, total in totals.items():
+        for indices, total in _colinearity_totals(minor, support).items():
             x_i = support.get(indices, 0)
             if total != [e * x_i for e in diagonal]:
                 return False
@@ -590,7 +579,8 @@ def verify_witness(
     diagonal=None,
 ) -> WitnessVerification:
     """Construct the canonical integer witness point (a caller-supplied
-    ``diagonal`` may be rational) and run the five checks:
+    ``diagonal`` may have ``int`` or ``Fraction`` entries) and run the five
+    checks:
 
     1. all Pluecker and incidence relations vanish,
     2. the cell (in)equations of w' hold,
@@ -619,6 +609,8 @@ def _build_witness(
     t = witness_diagonal(w, w_prime, a, b) if diagonal is None else tuple(diagonal)
     if len(t) != n:
         raise ValueError(f"the diagonal needs n = {n} entries, got {len(t)}")
+    if any(type(c) not in (int, Fraction) for c in t):
+        raise ValueError(f"diagonal entries must be int or Fraction, got {t}")
     leads = {_prefix_set(w_prime, d) for d in range(1, n)}
     plucker_values = {tup: int(tup in leads) for d in range(1, n) for tup, _ in _x_vars(n, d)}
     psi = tuple(tuple(t[i] if i == j else 0 for j in range(n)) for i in range(n))

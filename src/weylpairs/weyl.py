@@ -545,7 +545,9 @@ def standardize_subsystem(group, phi_sub) -> tuple[object, frozenset[int]]:
     ``phi_sub`` is a set of positive root keys of the group and must be of the
     form Phi ∩ (linear subspace); this holds for every minimal generating
     subsystem.  Searches the group by increasing length and returns the first
-    match reduced to its minimal coset representative.
+    match.  Every u' of u W_J gives the same J, and the minimal element of a
+    coset is strictly shorter than the rest of it, so that first match is
+    already minimal in its coset.
     """
     key = frozenset(phi_sub)
     cached = group._standardize_cache.get(key)
@@ -562,8 +564,7 @@ def standardize_subsystem(group, phi_sub) -> tuple[object, frozenset[int]]:
                 j for j in group.simple_keys if group.simple_root_key(j) in psi
             )
             if group.standard_positive(j_set) == psi:
-                coset_min, _ = group.parabolic_decompose(u, j_set)
-                result = (coset_min, j_set)
+                result = (u, j_set)
                 break
         if result is None:
             raise InternalInvariantError(

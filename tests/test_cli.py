@@ -2,6 +2,7 @@
 
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -385,9 +386,19 @@ class TestPinnedDigests:
             runs.append(argv)
         return runs
 
+    @staticmethod
+    def emit_runs(fmt):
+        """`equations emit` on every cell of S4 and S5."""
+        return [
+            ["equations", "emit", "--n", str(n), "--w", "".join(map(str, perm)), "--format", fmt]
+            for n in (4, 5) for perm in itertools.permutations(range(1, n + 1))
+        ]
+
     @pytest.mark.parametrize(
         "name, digest",
         [
+            ("emit-s4-s5-json", "1e48c6b02e88de1602d93212a233034eb65a50ae3c7bb20aefae1c46461e18e2"),
+            ("emit-s4-s5-text", "9abddebfed525b581ab0fd3006b4dcf129ff67c98e33c65f9928b17a42066c85"),
             ("sample-n4", "cdbcafda8664ac25b422cc2993d1cdb471fbe455d5fcb5a0cd9d935f121725d6"),
             ("sample-n5", "8b8510422b902104b22f8d3b0a7b35c0be56a0d49d9b3e5483cca4512d941c17"),
             ("sample-n6", "7811a109e7fbeea545079eabf718d5d1c04beef0b48ad125bccf7d17050ba844"),
@@ -397,9 +408,12 @@ class TestPinnedDigests:
         ],
     )
     def test_joined_stdout_sha256(self, name, digest):
-        """The stdout of several runs, joined: sampled cell points and witness
-        points, whose numbers the checks and records are built from."""
+        """The stdout of several runs, joined: every emitted equation set of
+        S4 and S5, and sampled cell points and witness points, whose numbers
+        the checks and records are built from."""
         runs = {
+            "emit-s4-s5-json": self.emit_runs("json"),
+            "emit-s4-s5-text": self.emit_runs("text"),
             "sample-n4": self.sample_runs(4, ("1234", "3142", "4231", "4321"), (1, 7, 42), 4),
             "sample-n5": self.sample_runs(5, ("12345", "35142", "42513", "54321"), (3, 11), 3),
             "sample-n6": self.sample_runs(6, ("123456", "351624", "426153", "653421"), (5, 13), 2),

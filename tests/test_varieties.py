@@ -454,8 +454,8 @@ class TestFactoredPCheck:
     @pytest.mark.parametrize("doctor", ["extra-top", "scaled-top", "inhomogeneous"])
     def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
         """The engine checks the lambda^d coefficient of every shifted minor
-        of the generic matrix as it computes it, and ``_colinearity_index``
-        the (u, t)-degree d - s of the lambda^s ones.  The list of
+        of the generic matrix as it computes it, and ``_colinearity_sum`` the
+        degree d - s + 1 of the lambda^s coefficients of the sum.  The list of
         coefficients has d + 1 entries, so a higher power of lambda cannot
         arise."""
         n, indices = 4, (1, 3)
@@ -486,9 +486,9 @@ class TestFactoredPCheck:
             monkeypatch.setattr(poly_module, "_laplace_terms", doctored)
         # a fresh memo, so no minor computed before the doctoring is reused
         monkeypatch.setattr(varieties, "_generic_minors", poly_module._generic_minors.__wrapped__)
-        message = "degree != 2" if doctor == "inhomogeneous" else "lambda\\^2 coefficient"
+        message = "degree != 3" if doctor == "inhomogeneous" else "lambda\\^2 coefficient"
         with pytest.raises(VerificationFailedError, match=message):
-            varieties._colinearity_index.__wrapped__(n, indices)
+            varieties._colinearity_sum.__wrapped__(n, len(indices))
 
     @pytest.mark.parametrize(
         "rows, cols", [((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2)), ((1, 2), (1, 3))],
@@ -518,24 +518,24 @@ class TestFactoredPCheck:
 
     def test_point_path_builds_no_symbolic_minor(self):
         """Checking a sampled point or a witness reads the point's numbers
-        only: neither the symbolic minors nor the colinearity index is built."""
+        only: neither the symbolic minors nor the colinearity sums are built."""
         poly_module.symbolic_minor.cache_clear()
         poly_module._generic_minors.cache_clear()
-        varieties._colinearity_index.cache_clear()
+        varieties._colinearity_sum.cache_clear()
         w = P("563421")
         assert all(check_point_families(p_polynomials(w), self.sample(w, 3)).values())
         assert verify_witness(P("126453"), P("123546"), 5, 6).ok
         assert poly_module.symbolic_minor.cache_info().misses == 0
         assert poly_module._generic_minors.cache_info().misses == 0
-        assert varieties._colinearity_index.cache_info().misses == 0
+        assert varieties._colinearity_sum.cache_info().misses == 0
 
     def test_undoctored_coefficients_pass_the_check(self):
         for n in (4, 5, 6):
             for d in range(1, n):
-                for indices in itertools.combinations(range(1, n + 1), d):
-                    index = varieties._colinearity_index.__wrapped__(n, indices)
-                    assert index == varieties._colinearity_index(n, indices)
-                    assert all(len(minors) == d for minors in index.values())
+                sums = varieties._colinearity_sum.__wrapped__(n, d)
+                assert sums == varieties._colinearity_sum(n, d)
+                assert sorted(sums) == list(itertools.combinations(range(1, n + 1), d))
+                assert all(len(coeffs) == d for coeffs in sums.values())
 
 
 class TestIndexedPCheck:
@@ -908,6 +908,15 @@ class TestWitness:
     @pytest.mark.parametrize("diagonal", [(0, 1, 1, 0, 5), (0, 1)], ids=["five", "two"])
     def test_diagonal_of_wrong_length_rejected(self, diagonal):
         with pytest.raises(ValueError, match="needs n = 4 entries"):
+            verify_witness(P("4231"), P("1324"), 1, 2, diagonal=diagonal)
+
+    @pytest.mark.parametrize(
+        "diagonal", [(0.0, 1.5, 1.5, 0.0), (True, False, False, True), (0, "1", "1", 0)],
+        ids=["float", "bool", "str"],
+    )
+    def test_diagonal_of_inexact_entries_rejected(self, diagonal):
+        """The checks are exact only on int and Fraction entries."""
+        with pytest.raises(ValueError, match="must be int or Fraction"):
             verify_witness(P("4231"), P("1324"), 1, 2, diagonal=diagonal)
 
     @pytest.mark.parametrize(

@@ -424,3 +424,13 @@ class TestStandardize:
                 b3.root_image_positive(u, key) for key in b3.standard_positive(j_set)
             )
             assert mapped == phi
+
+    @pytest.mark.parametrize("name", ["S5", "B3", "B4", "D4"])
+    def test_first_match_is_its_minimal_coset_representative(self, name):
+        """Every u' of u W_J standardizes to the same J, and the minimal
+        element of the coset is strictly shorter, so the search in length
+        order meets it first."""
+        group = symmetric_group(5) if name == "S5" else reflection_group(name)
+        for w in group.elements_by_length():
+            u, j_set = standardize_subsystem(group, group.min_gen_positive(w))
+            assert group.parabolic_decompose(u, j_set)[0] == u
