@@ -15,17 +15,19 @@ comparisons.  ``evaluate`` multiplies and adds the numbers as they come, so
 an integer polynomial evaluates to an ``int`` at an ``int`` point; a
 ``Fraction`` coordinate gives a ``Fraction``.
 
-The last section is the library's one shifted-minor engine,
-``_shifted_minors``: Delta^cols_rows(A + lambda id) of an upper-triangular A
-as its lambda-coefficients, by memoised Laplace expansion.  A may hold
-numbers (a point's (u, t) matrix) or polynomials (the generic matrix, behind
-``symbolic_minor`` and the emitted P-equations).  Filling the memo checks that
-the lambda^k coefficient of a k x k minor is [rows = cols], or raises
-``VerificationFailedError``.
+The last section is the library's one engine for shifted minors,
+``_exterior_power``: wedge^d(A + lambda id) x for an upper-triangular A and
+a vector x over the d-subsets, as lambda-coefficients, by a sweep over the
+rows of A.  Its I-th coordinate is sum_J Delta^J_I(A + lambda id) x_J, so a
+single minor is the sweep on a basis vector.  A may hold numbers (a point's
+(u, t) matrix) or polynomials (the generic matrix, behind ``symbolic_minor``
+and the emitted P-equations).  The sweep checks that the lambda^d
+coefficient of each coordinate is x_I, or raises ``VerificationFailedError``.
 """
 
 from __future__ import annotations
 
+import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
@@ -345,7 +347,7 @@ def parse_polynomial(text: str) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# shifted minors of an upper-triangular matrix, on numbers or polynomials
+# exterior powers of a shifted upper-triangular matrix, on numbers or polynomials
 # ---------------------------------------------------------------------------
 
 class VerificationFailedError(RuntimeError):
@@ -353,22 +355,70 @@ class VerificationFailedError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _laplace_terms(rows: tuple[int, ...], cols: tuple[int, ...]) -> tuple:
-    """(sign, c, diagonal, sub_cols) for every term of the shifted minor
-    Delta^cols_rows(A + lambda id) of an upper-triangular A, expanded along
-    its last row r = rows[-1]: the entry (r, c) is A[r][c] + lambda when
-    ``diagonal`` (c = r) and A[r][c] otherwise, times the sign and the minor
-    on rows[:-1] x sub_cols.  Terms whose entry lies below the diagonal, or
-    whose minor vanishes by triangularity (rows[:-1] not below sub_cols
-    componentwise), are left out."""
-    r, sub_rows = rows[-1], rows[:-1]
-    terms = []
-    for pos, c in enumerate(cols):
-        sub_cols = cols[:pos] + cols[pos + 1 :]
-        if c >= r and all(i <= j for i, j in zip(sub_rows, sub_cols)):
-            sign = -1 if (len(rows) - 1 + pos) % 2 else 1
-            terms.append((sign, c, c == r, sub_cols))
-    return tuple(terms)
+def _exterior_plan(n: int, d: int) -> tuple:
+    """Row k's factor of wedge^d(A + lambda id), for k = 1..n in order: for
+    every d-subset I containing k, as (position of I, terms), the terms
+    (j, position of I - k + j, sign) for j > k outside I, with sign
+    (-1)^#{i in I : k < i < j}.  Positions are in combination order."""
+    subsets = list(itertools.combinations(range(1, n + 1), d))
+    position = {s: p for p, s in enumerate(subsets)}
+    return tuple(
+        tuple(
+            (p, tuple(
+                (j, position[tuple(sorted({*s, j} - {k}))], (-1) ** sum(k < i < j for i in s))
+                for j in range(k + 1, n + 1)
+                if j not in s
+            ))
+            for p, s in enumerate(subsets)
+            if k in s
+        )
+        for k in range(1, n + 1)
+    )
+
+
+def _times_shift(coeffs: list, c) -> list:
+    """(c + lambda) p as lambda-coefficients, lowest first, for p's given the
+    same way; the top one of the product is dropped."""
+    return [c * coeffs[0]] + [c * hi + lo for hi, lo in zip(coeffs[1:], coeffs)]
+
+
+def _exterior_power(a: list[list], n: int, d: int, x: Mapping) -> dict:
+    """I -> the lambda-coefficients of sum_J Delta^J_I(A + lambda id) x_J,
+    lowest first and d + 1 long: the I-th coordinate of
+    wedge^d(A + lambda id) x for an upper-triangular A (1-based, numbers or
+    polynomials) and x given on its support (J -> x_J).  A coordinate that
+    no nonzero term reaches is 0 and left out; the others, the support among
+    them, come in combination order.
+
+    A + lambda id is R_n ... R_1, R_k the identity with row k of A + lambda id
+    (row k reads only the columns >= k, which R_1..R_{k-1} leave alone), and
+    wedge^d is multiplicative, so the sweep applies one row at a time:
+    y_I <- (A[k][k] + lambda) y_I + sum_j +-A[k][j] y_{I-k+j} for every I
+    containing k.  The lambda^d coefficient of y_I must come out x_I, or
+    ``VerificationFailedError`` is raised."""
+    subsets = list(itertools.combinations(range(1, n + 1), d))
+    # None: y_I = 0, which the sweep skips
+    y = [[x[s]] + [0] * d if s in x else None for s in subsets]
+    zero = [0] * (d + 1)
+    for k, steps in enumerate(_exterior_plan(n, d), start=1):
+        row = a[k]
+        diagonal = row[k]
+        for p, terms in steps:
+            new = y[p] and _times_shift(y[p], diagonal)
+            for j, q, sign in terms:
+                entry, above = row[j], y[q]
+                if entry and above:
+                    entry = entry if sign > 0 else -entry
+                    new = [c + entry * v for c, v in zip(new or zero, above)]
+            y[p] = new
+    out = {s: coeffs for s, coeffs in zip(subsets, y) if coeffs}
+    for s, coeffs in out.items():
+        if coeffs[d] - x.get(s, 0):
+            raise VerificationFailedError(
+                f"the lambda^{d} coefficient of wedge^{d}(A + lambda id) x at {s} "
+                f"is {coeffs[d]}, not x_{s} = {x.get(s, 0)}"
+            )
+    return out
 
 
 def _upper_matrix(n: int, point: Mapping) -> list[list]:
@@ -385,50 +435,13 @@ def _upper_matrix(n: int, point: Mapping) -> list[list]:
     return a
 
 
-def _shifted_minors(a: list[list]):
-    """Delta^cols_rows(A + lambda id) as its list of lambda-coefficients,
-    lowest first and len(rows) + 1 long, memoised for this A, each minor's
-    top coefficient checked.  A principal minor Delta^S_S is
-    prod_{k in S} (A[k][k] + lambda), as A is upper triangular."""
-    memo: dict = {}
-
-    def minor(rows: tuple[int, ...], cols: tuple[int, ...]) -> list:
-        key = (rows, cols)
-        out = memo.get(key)
-        if out is None:
-            if not rows:
-                out = [1]
-            else:
-                row, sub_rows = a[rows[-1]], rows[:-1]
-                out = [0] * (len(rows) + 1)
-                for sign, c, diagonal, sub_cols in _laplace_terms(rows, cols):
-                    sub = minor(sub_rows, sub_cols)
-                    entry = sign * row[c]
-                    if entry:
-                        for s, m in enumerate(sub):
-                            out[s] += entry * m
-                    if diagonal:
-                        for s, m in enumerate(sub, start=1):
-                            out[s] += sign * m
-                if out[-1] != (rows == cols):
-                    raise VerificationFailedError(
-                        f"the lambda^{len(rows)} coefficient of the shifted minor "
-                        f"{rows} x {cols} is {out[-1]}, not {int(rows == cols)}"
-                    )
-            memo[key] = out
-        return out
-
-    return minor
-
-
 @lru_cache(maxsize=None)
-def _generic_minors(n: int):
-    """The memoised shifted minors of the generic upper-triangular matrix,
-    whose entries are the variables u_{kl} and t_k; their lambda-coefficients
-    are polynomials, or plain ``int``s."""
+def _generic_matrix(n: int) -> list[list]:
+    """The generic upper-triangular matrix: the variables u_{kl} above the
+    diagonal and t_k on it, as polynomials.  Read, never changed."""
     names = [t_var(k) for k in range(1, n + 1)]
     names += [u_var(k, l) for k in range(1, n + 1) for l in range(k + 1, n + 1)]
-    return _shifted_minors(_upper_matrix(n, {v: SparsePolynomial.variable(v) for v in names}))
+    return _upper_matrix(n, {v: SparsePolynomial.variable(v) for v in names})
 
 
 @lru_cache(maxsize=None)
@@ -439,8 +452,9 @@ def symbolic_minor(
     columns: entries u_{kl} above the diagonal, t_m (+ lambda when shifted) on
     it, zero below.  Vanishes unless rows <= cols componentwise.
 
-    Read off the lambda-coefficients of ``_generic_minors(n)``: the lambda^0
-    one, or sum_s c_s lambda^s when shifted.
+    Read at rows off the exterior power of the generic matrix applied to the
+    basis vector e_cols: the lambda^0 coefficient, or sum_s c_s lambda^s when
+    shifted.
     """
     rows, cols = tuple(rows), tuple(cols)
     if len(rows) != len(cols):
@@ -448,7 +462,7 @@ def symbolic_minor(
     for seq in (rows, cols):
         if list(seq) != sorted(set(seq)) or (seq and not (1 <= seq[0] and seq[-1] <= n)):
             raise ValueError(f"indices must be strictly increasing in 1..{n}: {seq}")
-    coeffs = _generic_minors(n)(rows, cols)
+    coeffs = _exterior_power(_generic_matrix(n), n, len(rows), {cols: 1}).get(rows, [0])
     if not shift_lambda:
         return _coerce(coeffs[0])
     return sum(

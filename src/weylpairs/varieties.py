@@ -18,20 +18,18 @@ scanner enumerates the (q, a, b) configurations, and the verifier checks the
 witness point against every equation family with exact arithmetic.
 
 The lambda^s coefficient of P_{w,i} is P_{w,i,s} = C_{i,s} - e_{d-s}(t_{w(1..d)}) x_i,
-where C_{i,s} = sum_j M_{i,j,s} x_j is the lambda^s coefficient of the
-colinearity sum, M_{i,j,s} that of Delta^j_i(u + lambda id), and e the
-elementary symmetric polynomial.  Every shifted minor comes from one engine,
-``poly._shifted_minors``: a memoised Laplace expansion that returns
-Delta^j_i(A + lambda id) as its list of lambda-coefficients, for a matrix A of
-numbers or of polynomials, and checks each minor's top coefficient as it
-goes.  The colinearity sum over j and the i below it is written once,
-``_colinearity_totals``, and runs on either kind of matrix.  On the generic
-matrix, with every x_j, it gives the C_{i,s}; ``_colinearity_sum`` checks
-their degrees, and the polynomials P_{w,i,s} are built from them only on
-request (``EquationSet.p_equations``).  A point is checked on its own numbers
-instead, without any polynomial: the sum runs on the point's (u, t) matrix,
-only over the j with x_j(pt) != 0, and every coefficient of
-sum_j Delta^j_i x_j - prod_{k<=d} (t_{w(k)} + lambda) x_i must vanish.
+where C_{i,s} is the lambda^s coefficient of the colinearity sum
+sum_j Delta^j_i(u + lambda id) x_j and e the elementary symmetric polynomial.
+That sum is the i-th coordinate of wedge^d(u + lambda id) x, the d-th compound,
+and every one comes from one engine, ``poly._exterior_power``: a sweep that
+applies wedge^d(A + lambda id) to x as n one-row factors, for a matrix A of
+numbers or of polynomials, and checks each coordinate's top coefficient.  On
+the generic matrix, with every x_j, it gives the C_{i,s};
+``_colinearity_sum`` checks their degrees, and the polynomials P_{w,i,s} are
+built from them only on request (``EquationSet.p_equations``).  A point is
+checked on its own numbers instead, without any polynomial: the sweep runs
+on the point's (u, t) matrix and x-support, and every coefficient of
+wedge^d(A + lambda id) x - prod_{k<=d} (t_{w(k)} + lambda) x must vanish.
 
 Points carry plain ``int`` coordinates.  Only the sampler and the witness
 builder make points, and every check is invariant under scaling psi, so
@@ -55,8 +53,9 @@ from .poly import (
     IncompletePointError,
     SparsePolynomial,
     VerificationFailedError,
-    _generic_minors,
-    _shifted_minors,
+    _exterior_power,
+    _generic_matrix,
+    _times_shift,
     _upper_matrix,
     normalize_plucker_indices,
     t_var,
@@ -170,34 +169,18 @@ def _x_vars(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     return tuple((tup, x_var(tup)) for tup in itertools.combinations(range(1, n + 1), d))
 
 
-def _colinearity_totals(minor, support: dict) -> dict:
-    """I -> the lambda-coefficients of sum_J Delta^J_I(A + lambda id) x_J,
-    lowest first and d + 1 long, with ``minor`` the engine on A and J running
-    over ``support`` (J -> x_J, all of dimension d).  Only the I below some J
-    componentwise have a nonzero sum, and only they appear."""
-    totals: dict = {}
-    for tup, x_j in support.items():
-        for indices in _lower_sets(tup):
-            terms = [m * x_j for m in minor(indices, tup)]
-            total = totals.get(indices)
-            totals[indices] = terms if total is None else [
-                acc + term for acc, term in zip(total, terms)
-            ]
-    return totals
-
-
 @lru_cache(maxsize=None)
 def _colinearity_sum(n: int, d: int) -> dict:
     """I -> (C_{I,0}, ..., C_{I,d-1}) for every d-subset I, C_{I,s} being the
     lambda^s coefficient of the colinearity sum on the generic matrix;
-    independent of w.  The engine has checked the lambda^d coefficients, and
+    independent of w.  The sweep has checked the lambda^d coefficients, and
     the check that needs polynomials runs here, once for all w: C_{I,s} is
     homogeneous of degree d - s + 1, like e_{d-s}(t) x_I.  Its terms
     M_{I,J,s} x_J carry distinct x_J, so this holds iff every M_{I,J,s} has
     (u, t)-degree d - s."""
     support = {tup: SparsePolynomial.variable(x) for tup, x in _x_vars(n, d)}
     sums = {}
-    for indices, total in _colinearity_totals(_generic_minors(n), support).items():
+    for indices, total in _exterior_power(_generic_matrix(n), n, d, support).items():
         for s, c in enumerate(total[:d]):
             if not c.degrees() <= {d - s + 1}:
                 raise VerificationFailedError(
@@ -225,13 +208,15 @@ class EquationSet:
 
         P_{w,I,s} = C_{I,s} - e_{d-s}(t_{w(1)}, ..., t_{w(d)}) x_I, the
         w-independent C from ``_colinearity_sum`` and the e from the
-        principal shifted minor prod_{k<=d} (t_{w(k)} + lambda).
+        principal product prod_{k<=d} (t_{w(k)} + lambda), grown by one
+        factor per d.
         """
         n, w = self.n, self.w
+        a = _generic_matrix(n)
         p_eqs = {}
+        diagonal = [1]
         for d in range(1, n):
-            prefix = _prefix_set(w, d)
-            diagonal = _generic_minors(n)(prefix, prefix)
+            diagonal = _times_shift(diagonal + [0], a[w(d)][w(d)])
             sums = _colinearity_sum(n, d)
             for indices, x in _x_vars(n, d):
                 x_i = SparsePolynomial.variable(x)
@@ -298,9 +283,9 @@ def _sample_cell_point(
     The first d columns of g = b1 P_w b2 are columns w(1..d) of b1 times
     the leading d x d block of b2, so by Cauchy-Binet the Pluecker
     coordinate x_I of g is eps_d prod_{k<=d} b2[k][k] Delta^{S_d}_I(b1),
-    with S_d = sorted(w(1..d)) and eps_d the sign that sorts w(1..d).  The
-    minor of the upper-triangular b1 is the lambda^0 coefficient of the
-    shifted-minor engine's, and vanishes unless I <= S_d componentwise.
+    with S_d = sorted(w(1..d)) and eps_d the sign that sorts w(1..d): the
+    lambda^0 coefficient of wedge^d(b1 + lambda id) applied to
+    eps_d prod_{k<=d} b2[k][k] e_{S_d}.
 
     With Y = b1^{-1} psi b1, g^{-1} psi g is
     b2^{-1} (P_w^{-1} Y P_w) b2, which is upper triangular iff P_w^{-1} Y P_w
@@ -321,14 +306,14 @@ def _sample_cell_point(
     rng = random.Random(seed)
     b1 = _random_upper_invertible(rng, n)
     b2 = _random_upper_invertible(rng, n)
-    minor = _shifted_minors([[0] * (n + 1), *([0, *row] for row in b1)])
+    upper = [[0] * (n + 1), *([0, *row] for row in b1)]
     plucker_values = {tup: 0 for d in range(1, n) for tup, _ in _x_vars(n, d)}
     scale = 1
     for d in range(1, n):
         sign, s_d = normalize_plucker_indices(cell_w.one_line[:d])
         scale *= b2[d - 1][d - 1]
-        for rows in _lower_sets(s_d):
-            plucker_values[rows] = sign * scale * minor(rows, s_d)[0]
+        for rows, coeffs in _exterior_power(upper, n, d, {s_d: sign * scale}).items():
+            plucker_values[rows] = coeffs[0]
     # adj = D b1^{-1}; scaling each constraint row by D keeps the kernel
     adj, _ = scaled_inverse(b1)
     position = {cell_w(j): j for j in range(1, n + 1)}  # w^{-1}
@@ -409,18 +394,18 @@ def _lower_sets(cols: tuple[int, ...]) -> tuple[tuple[int, ...], ...]:
 
 def _p_family_holds(eqs: EquationSet, point: dict, supports: list[dict]) -> bool:
     """Whether every P_{w,I,s} vanishes at the point, tested on the point's
-    own numbers: with A its (u, t) matrix, the colinearity sum over the
-    support of dimension d (the x_J != 0) must equal
-    prod_{k<=d} (t_{w(k)} + lambda) x_I coefficient by coefficient.  The
-    engine checks each minor's top coefficient as it computes it."""
-    n = eqs.n
+    own numbers: with A its (u, t) matrix and x the point's coordinates of
+    dimension d, given on their support, wedge^d(A + lambda id) x must equal
+    prod_{k<=d} (t_{w(k)} + lambda) x, coordinate by coordinate and
+    coefficient by coefficient.  The sweep checks each coordinate's top
+    coefficient, and the product grows by one factor per d."""
+    n, w = eqs.n, eqs.w
     a = _upper_matrix(n, point)
-    minor = _shifted_minors(a)
+    diagonal = [1]
     for d, support in enumerate(supports, start=1):
-        prefix = _prefix_set(eqs.w, d)
-        diagonal = minor(prefix, prefix)  # prod_{k<=d} (t_{w(k)} + lambda)
-        # an I that no J of the support lies above has a zero sum and x_I = 0
-        for indices, total in _colinearity_totals(minor, support).items():
+        diagonal = _times_shift(diagonal + [0], a[w(d)][w(d)])
+        # a coordinate the sweep leaves out is 0, and so is its x_I
+        for indices, total in _exterior_power(a, n, d, support).items():
             x_i = support.get(indices, 0)
             if total != [e * x_i for e in diagonal]:
                 return False

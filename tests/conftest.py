@@ -16,8 +16,8 @@ from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
 from weylpairs.poly import (  # noqa: E402
     LAMBDA,
     SparsePolynomial,
+    VerificationFailedError,
     _raw,
-    _shifted_minors,
     _upper_matrix,
     normalize_plucker_indices,
     t_var,
@@ -91,6 +91,62 @@ def reference_minor(n, rows, cols, shift_lambda=False):
         sign = (-1) ** ((len(rows) - 1) + pos)
         total = total + entry * sign * sub
     return total
+
+
+def _laplace_terms(rows, cols):
+    """(sign, c, diagonal, sub_cols) for every term of the shifted minor
+    Delta^cols_rows(A + lambda id) of an upper-triangular A, expanded along
+    its last row r = rows[-1]: the entry (r, c) is A[r][c] + lambda when
+    ``diagonal`` (c = r) and A[r][c] otherwise, times the sign and the minor
+    on rows[:-1] x sub_cols.  Terms whose entry lies below the diagonal, or
+    whose minor vanishes by triangularity (rows[:-1] not below sub_cols
+    componentwise), are left out."""
+    r, sub_rows = rows[-1], rows[:-1]
+    terms = []
+    for pos, c in enumerate(cols):
+        sub_cols = cols[:pos] + cols[pos + 1 :]
+        if c >= r and all(i <= j for i, j in zip(sub_rows, sub_cols)):
+            sign = -1 if (len(rows) - 1 + pos) % 2 else 1
+            terms.append((sign, c, c == r, sub_cols))
+    return tuple(terms)
+
+
+def laplace_minors(a):
+    """Reference for the library's exterior-power sweep: Delta^cols_rows(A +
+    lambda id) of an upper-triangular A (1-based, numbers or polynomials) as
+    its list of lambda-coefficients, lowest first and len(rows) + 1 long, by
+    Laplace expansion along the last row, memoised for this A, each minor's
+    top coefficient checked.  A principal minor Delta^S_S is
+    prod_{k in S} (A[k][k] + lambda)."""
+    memo = {}
+
+    def minor(rows, cols):
+        key = (rows, cols)
+        out = memo.get(key)
+        if out is None:
+            if not rows:
+                out = [1]
+            else:
+                row, sub_rows = a[rows[-1]], rows[:-1]
+                out = [0] * (len(rows) + 1)
+                for sign, c, diagonal, sub_cols in _laplace_terms(rows, cols):
+                    sub = minor(sub_rows, sub_cols)
+                    entry = sign * row[c]
+                    if entry:
+                        for s, m in enumerate(sub):
+                            out[s] += entry * m
+                    if diagonal:
+                        for s, m in enumerate(sub, start=1):
+                            out[s] += sign * m
+                if out[-1] != (rows == cols):
+                    raise VerificationFailedError(
+                        f"the lambda^{len(rows)} coefficient of the shifted minor "
+                        f"{rows} x {cols} is {out[-1]}, not {int(rows == cols)}"
+                    )
+            memo[key] = out
+        return out
+
+    return minor
 
 
 def variables(p):
@@ -375,7 +431,7 @@ def additional_equation_holds(
     rows, prefix = tuple(sorted(j_tuple + (b,))), _prefix_set(w, q + 1)
     for s in range(samples):
         point = _cached_sample_assignment(w.one_line, seed + s)
-        minor = _shifted_minors(_upper_matrix(n, point))
+        minor = laplace_minors(_upper_matrix(n, point))
         total = [0] * (q + 2)
         for k_seq, sigma_k in signs.items():
             x_k = sigma_j * sigma_k * _x_at(point, k_seq + (a,))

@@ -130,6 +130,15 @@ def test_traced_memos_are_reflection_group_attributes():
         len(getattr(group, name))  # raises if the name is gone or unsized
 
 
+def test_the_laplace_minor_memo_is_gone():
+    # every colinearity sum and minor is read off the exterior-power sweep;
+    # the Laplace expansion lives on as tests/conftest.py's laplace_minors
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for name in ("_laplace_terms", "_shifted_minors", "_generic_minors"):
+            assert name not in text, (path.name, name)
+
+
 # traced targets the library no longer defines: bench/tracing.py skips them,
 # and their metrics read 0 until its lists drop them (ROADMAP item 1)
 GONE_TRACE_TARGETS = {

@@ -46,7 +46,9 @@ from conftest import (
     fraction_mat_mul,
     lambda_coefficients,
     lambda_degree,
+    laplace_minors,
     reference_kernel,
+    reference_minor,
     reference_p_polynomial,
     simplified_incidence_check,
     variables,
@@ -451,82 +453,83 @@ class TestFactoredPCheck:
         with pytest.raises(IncompletePointError, match="x12"):
             check_point_families(p_polynomials(w), point)
 
+    @staticmethod
+    def doctor_plan(monkeypatch, indices, k, copies):
+        """Make the exterior-power sweep apply the step of row k for the
+        d-subset ``indices`` ``copies`` times instead of once: 0 drops its
+        diagonal step (with its terms), 2 applies it twice."""
+        plan, d = poly_module._exterior_plan, len(indices)
+
+        def doctored(n_, d_):
+            rows = plan(n_, d_)
+            if d_ != d:
+                return rows
+            p = list(itertools.combinations(range(1, n_ + 1), d)).index(indices)
+            steps = tuple(
+                s for step in rows[k - 1] for s in [step] * (copies if step[0] == p else 1)
+            )
+            return rows[: k - 1] + (steps,) + rows[k:]
+
+        monkeypatch.setattr(poly_module, "_exterior_plan", doctored)
+
     @pytest.mark.parametrize("doctor", ["extra-top", "scaled-top", "inhomogeneous"])
     def test_doctored_coefficient_trips_the_check(self, monkeypatch, doctor):
-        """The engine checks the lambda^d coefficient of every shifted minor
-        of the generic matrix as it computes it, and ``_colinearity_sum`` the
-        degree d - s + 1 of the lambda^s coefficients of the sum.  The list of
-        coefficients has d + 1 entries, so a higher power of lambda cannot
-        arise."""
+        """The sweep checks the lambda^d coefficient of every coordinate of
+        wedge^d(A + lambda id) x on the generic matrix, and
+        ``_colinearity_sum`` the degree d - s + 1 of the lambda^s
+        coefficients of the sum.  The coefficient lists have d + 1 entries,
+        so a higher power of lambda cannot arise."""
         n, indices = 4, (1, 3)
         if doctor == "inhomogeneous":
             # t1 + 1 gives Delta^I_I a lambda^0 coefficient of (u, t)-degree 1
-            upper = poly_module._upper_matrix
+            generic = poly_module._generic_matrix
 
-            def doctored_matrix(n_, point):
-                a = upper(n_, point)
+            def doctored_matrix(n_):
+                a = [list(row) for row in generic(n_)]
                 a[1][1] = a[1][1] + 1
                 return a
 
-            monkeypatch.setattr(poly_module, "_upper_matrix", doctored_matrix)
+            monkeypatch.setattr(varieties, "_generic_matrix", doctored_matrix)
+        elif doctor == "extra-top":
+            # the factor (t1 + lambda) twice: an extra power of lambda
+            self.doctor_plan(monkeypatch, indices, 1, 2)
         else:
-            # lambda^2 coefficient 2 for J = I, or nonzero for J = (1, 4) != I
-            cols = {"scaled-top": indices, "extra-top": (1, 4)}[doctor]
-            terms = poly_module._laplace_terms
-
-            def doctored(rows_, cols_):
-                out = terms(rows_, cols_)
-                if (rows_, cols_) != (indices, cols):
-                    return out
-                if doctor == "scaled-top":
-                    return out + out
-                (sign, c, diagonal, sub_cols), *rest = out
-                return ((sign, c, not diagonal, sub_cols), *rest)
-
-            monkeypatch.setattr(poly_module, "_laplace_terms", doctored)
-        # a fresh memo, so no minor computed before the doctoring is reused
-        monkeypatch.setattr(varieties, "_generic_minors", poly_module._generic_minors.__wrapped__)
+            # the factor (t3 + lambda) dropped: lambda^2 coefficient 0, not x13
+            self.doctor_plan(monkeypatch, indices, 3, 0)
         message = "degree != 3" if doctor == "inhomogeneous" else "lambda\\^2 coefficient"
         with pytest.raises(VerificationFailedError, match=message):
             varieties._colinearity_sum.__wrapped__(n, len(indices))
 
     @pytest.mark.parametrize(
-        "rows, cols", [((1,), (1,)), ((1,), (2,)), ((1, 2), (1, 2)), ((1, 2), (1, 3))],
+        "indices, k, copies", [((1, 2), 2, 0), ((1,), 1, 2), ((1, 2), 1, 0), ((1, 2), 1, 2)],
         ids=["drop-top", "add-1", "drop-inner", "add-inner"],
     )
-    def test_flipped_diagonal_flag_trips_the_check(self, monkeypatch, rows, cols):
-        """The lambda^k coefficient of a k x k shifted minor must be 1 when
-        rows = cols and 0 otherwise; a Laplace term with its diagonal flag
-        flipped breaks that at a dense point, where every x below the lead of
-        the longest cell is nonzero and every minor below it is computed."""
+    def test_flipped_diagonal_flag_trips_the_check(self, monkeypatch, indices, k, copies):
+        """The lambda^d coefficient of wedge^d(A + lambda id) x at I must be
+        x_I; a diagonal step dropped from the sweep, at the top row of I or
+        an inner one, or applied twice breaks that at a dense point, where
+        every x below the lead of the longest cell is nonzero."""
         w = P("654321")
         eqs = p_polynomials(w)
         point = self.sample(w, 5)
-        terms = poly_module._laplace_terms
-
-        def flipped(rows_, cols_):
-            out = terms(rows_, cols_)
-            if (rows_, cols_) != (rows, cols):
-                return out
-            (sign, c, diagonal, sub_cols), *rest = out
-            return ((sign, c, not diagonal, sub_cols), *rest)
-
         assert _factored_p_check(eqs, point) is True
-        monkeypatch.setattr(poly_module, "_laplace_terms", flipped)
+        self.doctor_plan(monkeypatch, indices, k, copies)
         with pytest.raises(VerificationFailedError):
             check_point_families(eqs, point)
+        with pytest.raises(VerificationFailedError, match="lambda\\^"):
+            varieties._colinearity_sum.__wrapped__(4, len(indices))
 
     def test_point_path_builds_no_symbolic_minor(self):
         """Checking a sampled point or a witness reads the point's numbers
         only: neither the symbolic minors nor the colinearity sums are built."""
         poly_module.symbolic_minor.cache_clear()
-        poly_module._generic_minors.cache_clear()
+        poly_module._generic_matrix.cache_clear()
         varieties._colinearity_sum.cache_clear()
         w = P("563421")
         assert all(check_point_families(p_polynomials(w), self.sample(w, 3)).values())
         assert verify_witness(P("126453"), P("123546"), 5, 6).ok
         assert poly_module.symbolic_minor.cache_info().misses == 0
-        assert poly_module._generic_minors.cache_info().misses == 0
+        assert poly_module._generic_matrix.cache_info().misses == 0
         assert varieties._colinearity_sum.cache_info().misses == 0
 
     def test_undoctored_coefficients_pass_the_check(self):
@@ -536,6 +539,77 @@ class TestFactoredPCheck:
                 assert sums == varieties._colinearity_sum(n, d)
                 assert sorted(sums) == list(itertools.combinations(range(1, n + 1), d))
                 assert all(len(coeffs) == d for coeffs in sums.values())
+
+
+class TestExteriorPower:
+    """The sweep ``poly._exterior_power`` against minors computed without
+    it: the recursive cofactor expansion on the generic matrix, and the
+    memoised Laplace expansion of ``conftest.laplace_minors`` at points."""
+
+    @staticmethod
+    def laplace_sums(a, n, d, x):
+        """I -> the lambda-coefficients of sum_J Delta^J_I(A + lambda id) x_J
+        for every d-subset I, by Laplace expansion."""
+        minor = laplace_minors(a)
+        out = {}
+        for rows in itertools.combinations(range(1, n + 1), d):
+            total = [0] * (d + 1)
+            for cols, x_j in x.items():
+                for s, m in enumerate(minor(rows, cols)):
+                    total[s] += m * x_j
+            out[rows] = total
+        return out
+
+    def check_point(self, n, point):
+        a = poly_module._upper_matrix(n, point)
+        for d in range(1, n):
+            x = {tup: point[v] for tup, v in varieties._x_vars(n, d) if point[v]}
+            swept = poly_module._exterior_power(a, n, d, x)
+            zero = [0] * (d + 1)
+            expected = self.laplace_sums(a, n, d, x)
+            assert {rows: swept.get(rows, zero) for rows in expected} == expected, d
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_generic_matrix_against_cofactor_expansion(self, n):
+        a = poly_module._generic_matrix(n)
+        for d in range(1, n + 1):
+            x = {tup: SparsePolynomial.variable(v) for tup, v in varieties._x_vars(n, d)}
+            swept = poly_module._exterior_power(a, n, d, x)
+            assert list(swept) == list(x)
+            for rows, coeffs in swept.items():
+                assert len(coeffs) == d + 1
+                expected = sum(
+                    (reference_minor(n, rows, cols, True) * x_j for cols, x_j in x.items()),
+                    SparsePolynomial.zero(),
+                )
+                got = sum(
+                    (c * SparsePolynomial.variable(LAMBDA, s) for s, c in enumerate(coeffs)),
+                    SparsePolynomial.zero(),
+                )
+                assert got == expected, (d, rows)
+
+    @pytest.mark.parametrize(
+        "n, cells, bad_pairs",
+        [(4, [w.to_string() for w in all_perms(4)], 1), (5, TestFactoredPCheck.S5_CELLS, 6)],
+        ids=["S4", "S5"],
+    )
+    def test_points_against_laplace_expansion(self, n, cells, bad_pairs):
+        points = [point_assignment(n, *sample_point_on_Vw(P(c), 13)) for c in cells]
+        witnesses = []
+        for w, wp in _seeded_bad_pairs(n, bad_pairs, seed=n + 40):
+            witness = additional_equation_scan(w, wp).witness
+            if witness is not None:
+                plucker_values, psi = witness.point.plucker_values, witness.point.psi
+                witnesses.append(point_assignment(n, plucker_values, psi))
+        assert witnesses
+        # the longest cell's point, where every x below the lead is nonzero
+        dense = max(zip(cells, points), key=lambda cell_point: P(cell_point[0]).length())[1]
+        raised = [{**dense, v: dense[v] + 1} for v in sorted(dense) if v[0] in ("u", "t")]
+        fractional = [
+            {**pt, **{t_var(k): F(k, 3) for k in range(1, n + 1)}} for pt in (dense, witnesses[0])
+        ]
+        for point in points + witnesses + raised + fractional:
+            self.check_point(n, point)
 
 
 class TestIndexedPCheck:
