@@ -31,9 +31,13 @@ checked on its own numbers instead, without any polynomial: the sweep runs
 on the point's (u, t) matrix and x-support, and every coefficient of
 wedge^d(A + lambda id) x - prod_{k<=d} (t_{w(k)} + lambda) x must vanish.
 
-Points carry plain ``int`` coordinates.  Only the sampler and the witness
-builder make points, and every check is invariant under scaling psi, so
-neither needs a ``Fraction``; a diagonal that a caller hands to
+Every point of the cell of w is b1 . (P_w B, Y), with b1 in B and Y upper
+triangular and zero at the inversions of w, so the sampler draws b1 and Y
+and solves no linear system: x^(d) are the minors of b1 on the columns
+w(1..d), and psi = b1 Y b1^{-1}.  Points carry plain ``int`` coordinates.
+Only the sampler and the witness builder make points, and every check is
+invariant under scaling psi, and under scaling each x^(d) by its own nonzero
+number, so neither needs a ``Fraction``; a diagonal that a caller hands to
 ``verify_witness`` may still be rational, and is checked just as exactly, but
 an entry that is neither ``int`` nor ``Fraction`` raises ``ValueError``.
 """
@@ -48,7 +52,7 @@ from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional
 
-from .linalg import integer_kernel, scaled_inverse
+from .linalg import scaled_inverse
 from .poly import (
     IncompletePointError,
     SparsePolynomial,
@@ -273,98 +277,61 @@ def _random_upper_invertible(rng: random.Random, n: int) -> list[list[int]]:
     return m
 
 
-def _sample_cell_point(
-    cell_w: Permutation, diag_pairs: tuple, seed: int
-) -> tuple[dict, tuple]:
-    """Shared sampler: a random point of the cell of ``cell_w`` whose psi also
-    satisfies the given diagonal identifications t_p = t_q.  Every step runs
-    on integers.
-
-    The first d columns of g = b1 P_w b2 are columns w(1..d) of b1 times
-    the leading d x d block of b2, so by Cauchy-Binet the Pluecker
-    coordinate x_I of g is eps_d prod_{k<=d} b2[k][k] Delta^{S_d}_I(b1),
-    with S_d = sorted(w(1..d)) and eps_d the sign that sorts w(1..d): the
-    lambda^0 coefficient of wedge^d(b1 + lambda id) applied to
-    eps_d prod_{k<=d} b2[k][k] e_{S_d}.
-
-    With Y = b1^{-1} psi b1, g^{-1} psi g is
-    b2^{-1} (P_w^{-1} Y P_w) b2, which is upper triangular iff P_w^{-1} Y P_w
-    is, i.e. iff Y[k][l] = 0 for every k < l with w^{-1}(k) > w^{-1}(l) (Y is
-    upper triangular already).  So the constraints are these l(w) entries of
-    Y, with rows from adj(b1) = D b1^{-1}, in place of the n(n-1)/2 strictly
-    lower entries of g^{-1} psi g.  Both row sets cut out b cap Ad(g)b, so they
-    share the reduced row echelon form, and ``integer_kernel`` returns the
-    same basis up to its common denominator, which the primitive scaling
-    below takes out.
-
-    The kernel combination v over the denominator D of ``integer_kernel``
-    spans the same line as psi = v / D; every check is invariant under
-    positive scaling of psi, so psi is v / (gcd(v) sign(D)), its positive
-    primitive integer multiple.  Dividing by D itself would leave rationals
-    with denominators of 100+ bits on S6 cells."""
-    n = cell_w.n
-    rng = random.Random(seed)
-    b1 = _random_upper_invertible(rng, n)
-    b2 = _random_upper_invertible(rng, n)
-    upper = [[0] * (n + 1), *([0, *row] for row in b1)]
-    plucker_values = {tup: 0 for d in range(1, n) for tup, _ in _x_vars(n, d)}
-    scale = 1
-    for d in range(1, n):
-        sign, s_d = normalize_plucker_indices(cell_w.one_line[:d])
-        scale *= b2[d - 1][d - 1]
-        for rows, coeffs in _exterior_power(upper, n, d, {s_d: sign * scale}).items():
-            plucker_values[rows] = coeffs[0]
-    # adj = D b1^{-1}; scaling each constraint row by D keeps the kernel
-    adj, _ = scaled_inverse(b1)
-    position = {cell_w(j): j for j in range(1, n + 1)}  # w^{-1}
-    unknowns = [(a, b) for a in range(1, n + 1) for b in range(a, n + 1)]
-    col_of = {ab: idx for idx, ab in enumerate(unknowns)}
-    constraint_rows = []
-    for k in range(1, n + 1):
-        for l in range(k + 1, n + 1):
-            if position[k] > position[l]:
-                # entry (k, l) of b1^{-1} E_{ab} b1 is b1^{-1}[k][a] * b1[b][l]
-                constraint_rows.append(
-                    [adj[k - 1][a - 1] * b1[b - 1][l - 1] for (a, b) in unknowns]
-                )
-    for p, q in diag_pairs:
-        row = [0] * len(unknowns)
-        row[col_of[(p, p)]] = 1
-        row[col_of[(q, q)]] = -1
-        constraint_rows.append(row)
-    basis, denominator = integer_kernel(constraint_rows, ncols=len(unknowns))
-    combo = [rng.randint(-COEFF_RANGE, COEFF_RANGE) for _ in basis]
-    v = [sum(c * vec[idx] for c, vec in zip(combo, basis)) for idx in range(len(unknowns))]
-    scale = (gcd(*v) or 1) * (1 if denominator > 0 else -1)
-    psi = [[0] * n for _ in range(n)]
-    for (a, b), entry in zip(unknowns, v):
-        psi[a - 1][b - 1] = entry // scale
-    return plucker_values, tuple(tuple(row) for row in psi)
-
-
-def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
-    """A random integer point of the cell of w.
-
-    Draw invertible upper-triangular integer b1, b2 and set g = b1 P_w b2,
-    so the flag of g lies in the cell; the Pluecker coordinates are the
-    leading-column minors of g, read off the minors of b1 by Cauchy-Binet.
-    Then solve the exact linear system keeping psi
-    upper-triangular with g^{-1} psi g upper-triangular: its l(w) rows say
-    that b1^{-1} psi b1 vanishes at the inversions of w, built from
-    adj(b1) = D b1^{-1}, and a random integer combination of the kernel basis,
-    made primitive, gives psi.  Pluecker values and psi entries are ``int``.
-    """
-    return _sample_cell_point(w, (), seed)
+def _mat_mul(a, b) -> list[list[int]]:
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
 
 
 def sample_point_on_fiber(
     w: Permutation, w_prime: Permutation, seed: int
 ) -> tuple[dict, tuple]:
-    """A random point of the cell of w' whose diagonal also satisfies the
-    identifications t_{w'(k)} = t_{w(k)}; such points fill the naive fiber
-    over the fixed torus part, where every colinearity coefficient of w must
-    vanish as well."""
-    return _sample_cell_point(w_prime, fiber_equations(w, w_prime), seed)
+    """A random integer point of the cell of w' whose diagonal also satisfies
+    the identifications t_{w'(k)} = t_{w(k)}; such points fill the naive
+    fiber over the fixed torus part, where every colinearity coefficient of
+    w must vanish as well.
+
+    Every point of the cell is b1 . (P_{w'} B, Y) for some b1 in B and some
+    Y in b cap Ad(P_{w'})b, so both are drawn directly: an invertible
+    upper-triangular integer b1, and an upper-triangular Y vanishing at each
+    (k, l), k < l, with w'^{-1}(k) > w'^{-1}(l).  The flag is g = b1 P_{w'},
+    whose Pluecker coordinate x_I of dimension d is Delta^{S_d}_I(b1),
+    S_d = sorted(w'(1..d)), up to a sign per d that no check can see: the
+    lambda^0 coefficient of wedge^d(b1 + lambda id) applied to e_{S_d}.
+    The diagonal of Y takes one value per orbit of w w'^{-1}, and
+    diag(b1 Y b1^{-1}) = diag(Y), so t_p = t_q on every orbit.
+
+    psi is b1 Y b1^{-1} = b1 Y adj / D, with adj, D from ``scaled_inverse``;
+    every check is invariant under positive scaling of psi, so psi is
+    b1 Y adj / (gcd sign(D)), its positive primitive integer multiple, and
+    every Pluecker value and psi entry is ``int``."""
+    n = w_prime.n
+    orbits = (w * w_prime.inverse()).orbits()  # raises on different ranks
+    rng = random.Random(seed)
+    b1 = _random_upper_invertible(rng, n)
+    upper = [[0] * (n + 1), *([0, *row] for row in b1)]
+    plucker_values = {tup: 0 for d in range(1, n) for tup, _ in _x_vars(n, d)}
+    for d in range(1, n):
+        for rows, coeffs in _exterior_power(upper, n, d, {_prefix_set(w_prime, d): 1}).items():
+            plucker_values[rows] = coeffs[0]
+    y = [[0] * n for _ in range(n)]
+    for orbit in orbits:
+        t = rng.randint(-COEFF_RANGE, COEFF_RANGE)
+        for k in orbit:
+            y[k - 1][k - 1] = t
+    position = w_prime.inverse()
+    for k in range(1, n + 1):
+        for l in range(k + 1, n + 1):
+            if position(k) < position(l):
+                y[k - 1][l - 1] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
+    adj, denominator = scaled_inverse(b1)
+    v = _mat_mul(_mat_mul(b1, y), adj)
+    scale = (gcd(*(entry for row in v for entry in row)) or 1) * (1 if denominator > 0 else -1)
+    return plucker_values, tuple(tuple(entry // scale for entry in row) for row in v)
+
+
+def sample_point_on_Vw(w: Permutation, seed: int) -> tuple[dict, tuple]:
+    """A random integer point of the cell of w: the fiber sampler at w' = w,
+    where w w^{-1} is the identity and the diagonal is free."""
+    return sample_point_on_fiber(w, w, seed)
 
 
 def point_assignment(n: int, plucker_values: dict, psi) -> dict:
@@ -606,7 +573,7 @@ def _build_witness(
         "plucker_incidence": families["plucker"] and families["incidence"],
         "cell": families["cell"],
         "membership": families["p_equations"],
-        "fiber": all(t[w_prime(k) - 1] == t[w(k) - 1] for k in range(1, n + 1)),
+        "fiber": all(t[p - 1] == t[q - 1] for p, q in fiber_equations(w, w_prime)),
         "separating": t[a - 1] != t[b - 1],
     }
     if diagonal is None and not all(

@@ -139,6 +139,23 @@ def test_the_laplace_minor_memo_is_gone():
             assert name not in text, (path.name, name)
 
 
+def test_the_sampler_solves_no_linear_system():
+    # cell points are b1 . (P_w B, Y) with Y drawn directly, so integer
+    # kernels serve only the span tests
+    text = (SRC / "varieties.py").read_text()
+    for name in ("_sample_cell_point", "integer_kernel"):
+        assert name not in text, name
+    callers = {
+        (module, stmt.name)
+        for module, tree in _parse(SRC).items()
+        for stmt in tree.body
+        if isinstance(stmt, ast.FunctionDef)
+        if any(isinstance(node, ast.Call) and "integer_kernel" in _names(node.func)
+               for node in ast.walk(stmt))
+    }
+    assert callers == {("linalg.py", "span_mask")}
+
+
 # traced targets the library no longer defines: bench/tracing.py skips them,
 # and their metrics read 0 until its lists drop them (ROADMAP item 1)
 GONE_TRACE_TARGETS = {

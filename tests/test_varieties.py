@@ -425,7 +425,7 @@ class TestFactoredPCheck:
         eqs = p_polynomials(w)
         for seed in (7, 8):
             # scaling (u, t) keeps a member a member: P is homogeneous in them
-            point = _scaled_psi(self.sample(w, seed), F(1, 6))
+            point = _scaled_psi(self.sample(w, seed), F(1, 30))
             dens = {F(val).denominator for v, val in point.items() if v[0] in ("u", "t")}
             assert len(dens - {1}) >= 2
             assert _factored_p_check(eqs, point) is True
@@ -732,27 +732,42 @@ class TestFiberEquations:
         w = P("3142")
         assert fiber_equations(w, w) == ()
 
+    @staticmethod
+    def components(n, pairs):
+        """The blocks of {1..n} joined by the identifications (union-find)."""
+        parent = {i: i for i in range(1, n + 1)}
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for a, b in pairs:
+            parent[find(a)] = find(b)
+        blocks = {}
+        for i in range(1, n + 1):
+            blocks.setdefault(find(i), set()).add(i)
+        return {frozenset(b) for b in blocks.values()}
+
     def test_identifications_generate_orbit_partition(self):
         for w1 in all_perms(4):
             for w2 in all_perms(4):
-                pairs = fiber_equations(w1, w2)
-                parent = {i: i for i in range(1, 5)}
-
-                def find(x):
-                    while parent[x] != x:
-                        parent[x] = parent[parent[x]]
-                        x = parent[x]
-                    return x
-
-                for a, b in pairs:
-                    parent[find(a)] = find(b)
-                blocks = {}
-                for i in range(1, 5):
-                    blocks.setdefault(find(i), set()).add(i)
                 sigma = w1 * w2.inverse()
-                assert {frozenset(o) for o in sigma.orbits()} == {
-                    frozenset(b) for b in blocks.values()
+                assert self.components(4, fiber_equations(w1, w2)) == {
+                    frozenset(o) for o in sigma.orbits()
                 }
+
+    @pytest.mark.parametrize("n, verdict", [(4, "all"), (5, "bad")])
+    def test_components_are_the_orbits_the_sampler_draws_on(self, n, verdict):
+        """fiber_equations leaves out k = n, and the witness check reads it:
+        its components must still be the orbits of w w'^{-1}, on which the
+        fiber sampler draws one diagonal value each."""
+        pairs = [(v.w2, v.w1) for v in enumerate_pairs(n, verdict)]
+        assert pairs
+        for w, wp in pairs:
+            orbits = {frozenset(o) for o in (w * wp.inverse()).orbits()}
+            assert self.components(n, fiber_equations(w, wp)) == orbits
 
 
 class TestSampling:
@@ -772,6 +787,27 @@ class TestSampling:
         for k in range(3):
             for l in range(k):
                 assert psi[k][l] == 0
+
+    def test_cell_sampler_is_the_fiber_sampler_at_w(self):
+        for w in all_perms(4) + random.Random(5).sample(all_perms(5), 10):
+            for seed in (0, 9):
+                assert sample_point_on_Vw(w, seed) == sample_point_on_fiber(w, w, seed)
+
+    @pytest.mark.parametrize("n", [5, 6])
+    def test_families_blind_to_scaling_each_dimension(self, n):
+        """Plucker relations are homogeneous in each x^(d), incidence relations
+        bihomogeneous, P_{w,I,s} linear in x^(d), and the cell check reads
+        only which coordinates are zero: the sampler may pick any nonzero
+        scale per dimension, a negative one included."""
+        rng = random.Random(n + 20)
+        for w in rng.sample(all_perms(n), 6):
+            eqs = p_polynomials(w)
+            plucker_values, psi = sample_point_on_Vw(w, rng.randrange(1000))
+            factors = {d: rng.choice([2, 3, 5, 7]) for d in range(1, n)}
+            factors[rng.randrange(1, n)] *= -1
+            scaled = {tup: factors[len(tup)] * v for tup, v in plucker_values.items()}
+            point = point_assignment(n, scaled, psi)
+            assert all(check_point_families(eqs, point).values()), w.to_string()
 
     def test_deterministic_given_seed(self):
         a = sample_point_on_Vw(P("4231"), 123)
@@ -822,47 +858,73 @@ def _fraction_inverse(m):
     return [row[n:] for row in aug]
 
 
-def reference_sample(cell_w, diag_pairs, seed):
-    """The cell sampler computed with Fraction matrices throughout: the same
-    random draws, Pluecker values as determinants, constraint rows from
-    g^{-1}, and the kernel by Fraction elimination and back substitution."""
-    n = cell_w.n
+def _draw_b1(rng, n):
+    """The sampler's first draw: an invertible upper-triangular b1."""
+    b1 = [[F(0)] * n for _ in range(n)]
+    for i in range(n):
+        while not b1[i][i]:
+            b1[i][i] = F(rng.randint(-9, 9))
+        for j in range(i + 1, n):
+            b1[i][j] = F(rng.randint(-9, 9))
+    return b1
+
+
+def reference_sample(w, w_prime, seed):
+    """The fiber sampler computed with Fraction matrices throughout: the same
+    random draws (b1, one diagonal value per orbit of w w'^{-1}, then the
+    entries of Y at the non-inversions of w', row by row), Pluecker values as
+    minors of b1, and psi = b1 Y b1^{-1} by Fraction elimination."""
+    n = w_prime.n
     rng = random.Random(seed)
+    b1 = _draw_b1(rng, n)
+    plucker_values = {}
+    for d in range(1, n):
+        cols = sorted(w_prime(k) for k in range(1, d + 1))
+        for rows in itertools.combinations(range(1, n + 1), d):
+            plucker_values[rows] = fraction_det([[b1[r - 1][c - 1] for c in cols] for r in rows])
+    y = [[F(0)] * n for _ in range(n)]
+    for orbit in (w * w_prime.inverse()).orbits():
+        t = F(rng.randint(-9, 9))
+        for k in orbit:
+            y[k - 1][k - 1] = t
+    for k, l in _non_inversions(w_prime):
+        y[k - 1][l - 1] = F(rng.randint(-9, 9))
+    psi = fraction_mat_mul(fraction_mat_mul(b1, y), _fraction_inverse(b1))
+    return plucker_values, tuple(tuple(row) for row in psi)
 
-    def upper():
-        m = [[F(0)] * n for _ in range(n)]
-        for i in range(n):
-            while not m[i][i]:
-                m[i][i] = F(rng.randint(-9, 9))
-            for j in range(i + 1, n):
-                m[i][j] = F(rng.randint(-9, 9))
-        return m
 
-    b1, b2 = upper(), upper()
-    perm = [[F(1 if i + 1 == cell_w(j + 1) else 0) for j in range(n)] for i in range(n)]
-    g = fraction_mat_mul(fraction_mat_mul(b1, perm), b2)
-    plucker_values = {
-        rows: fraction_det([[g[r - 1][c] for c in range(d)] for r in rows])
-        for d in range(1, n)
-        for rows in itertools.combinations(range(1, n + 1), d)
-    }
+def _non_inversions(w):
+    """The (k, l), k < l, with w^{-1}(k) < w^{-1}(l), row by row."""
+    position = w.inverse()
+    return [
+        (k, l) for k in range(1, w.n + 1) for l in range(k + 1, w.n + 1) if position(k) < position(l)
+    ]
+
+
+def assert_on_old_system(w, w_prime, seed, psi):
+    """psi solves the sampler's old constraint system at the flag g of the
+    seed's b1: the strictly lower entries of g^{-1} psi g and one row
+    t_p - t_q per fiber identification, over the unknowns (k, l), k <= l, of
+    an upper-triangular psi.  And the sampler draws as many free entries of
+    Y as that system's kernel has dimensions."""
+    n = w_prime.n
+    b1 = _draw_b1(random.Random(seed), n)
+    perm = [[F(1 if i + 1 == w_prime(j + 1) else 0) for j in range(n)] for i in range(n)]
+    g = fraction_mat_mul(b1, perm)
     g_inv = _fraction_inverse(g)
     unknowns = [(k, l) for k in range(1, n + 1) for l in range(k, n + 1)]
-    constraint_rows = [
+    rows = [
         [g_inv[p][k - 1] * g[l - 1][q] for (k, l) in unknowns]
         for p in range(n)
         for q in range(p)
     ]
-    for p, q in diag_pairs:
-        constraint_rows.append(
-            [F(1) if kl == (p, p) else F(-1) if kl == (q, q) else F(0) for kl in unknowns]
-        )
-    basis, _ = reference_kernel(constraint_rows, len(unknowns))
-    combo = [F(rng.randint(-9, 9)) for _ in basis]
-    psi = [[F(0)] * n for _ in range(n)]
-    for idx, (k, l) in enumerate(unknowns):
-        psi[k - 1][l - 1] = sum((c * vec[idx] for c, vec in zip(combo, basis)), F(0))
-    return plucker_values, tuple(tuple(row) for row in psi)
+    for p, q in fiber_equations(w, w_prime):
+        rows.append([F(1) if kl == (p, p) else F(-1) if kl == (q, q) else F(0) for kl in unknowns])
+    vector = [psi[k - 1][l - 1] for k, l in unknowns]
+    assert all(sum(a * b for a, b in zip(row, vector)) == 0 for row in rows)
+    basis, _ = reference_kernel(rows, len(unknowns))
+    free = len((w * w_prime.inverse()).orbits()) + len(_non_inversions(w_prime))
+    assert free == len(basis), (w.to_string(), w_prime.to_string())
 
 
 def primitive(sample):
@@ -891,12 +953,18 @@ def typed(sample):
 
 class TestSamplerAgainstFractionReference:
     """The integer sampler returns the primitive integer form of the Fraction
-    reference, in values and types."""
+    reference, in values and types, and its psi solves the old constraint
+    system, whose kernel has as many dimensions as Y has free entries."""
+
+    @staticmethod
+    def check(w, w_prime, seed, got):
+        assert typed(got) == typed(primitive(reference_sample(w, w_prime, seed)))
+        assert_on_old_system(w, w_prime, seed, got[1])
 
     def test_every_s4_cell(self):
         for w in all_perms(4):
             for seed in (0, 42):
-                assert typed(sample_point_on_Vw(w, seed)) == typed(primitive(reference_sample(w, (), seed)))
+                self.check(w, w, seed, sample_point_on_Vw(w, seed))
 
     @pytest.mark.parametrize("n", [5, 6])
     def test_seeded_cells(self, n):
@@ -905,17 +973,16 @@ class TestSamplerAgainstFractionReference:
         for w in cells:
             for _ in range(3):
                 seed = rng.randrange(10**6)
-                assert typed(sample_point_on_Vw(w, seed)) == typed(primitive(reference_sample(w, (), seed)))
+                self.check(w, w, seed, sample_point_on_Vw(w, seed))
 
     def test_fiber_pairs(self):
-        """The identifications t_p = t_q join the rows from b1 in the sampler
-        and the rows from g^{-1} in the reference."""
+        """One diagonal value per orbit of w w'^{-1} in the sampler; the rows
+        t_p = t_q in the old system."""
         pairs = [(P("4231"), P("1324")), (P("4321"), P("2143"))]
         pairs += _seeded_bad_pairs(5, 4, seed=31) + _seeded_bad_pairs(6, 3, seed=32)
         for w, wp in pairs:
             for seed in range(100, 104):
-                got = sample_point_on_fiber(w, wp, seed)
-                assert typed(got) == typed(primitive(reference_sample(wp, fiber_equations(w, wp), seed)))
+                self.check(w, wp, seed, sample_point_on_fiber(w, wp, seed))
 
 
 class TestScan:
