@@ -3,16 +3,16 @@
 Vectors are tuples of ``int`` (roots, Gram matrices and the vectors of the
 Weyl group action are integral) or of :class:`fractions.Fraction`; matrices
 are sequences of such rows, and may mix the two.  Rank, span tests,
-independent subsets, kernels and inverses share one fraction-free
-Gauss-Jordan core on integer rows: each row is first scaled by the lcm of
-its denominators, and the Bareiss step
+independent subsets and kernels share one fraction-free Gauss-Jordan core on
+integer rows: each row is first scaled by the lcm of its denominators, and
+the Bareiss step
 
     m[i][j] <- (m[i][j] * pivot - m[i][c] * m[r][j]) // previous_pivot
 
 applied to every row i other than the pivot row r keeps each entry an
 integer (a minor of the scaled matrix) and leaves every pivot equal to one
-integer D.  Kernels and inverses are returned as integer numerators over D,
-so no ``Fraction`` is created.  Nothing here ever touches floating point.
+integer D.  Kernels are returned as integer numerators over D, so no
+``Fraction`` is created.  Nothing here ever touches floating point.
 """
 
 from __future__ import annotations
@@ -138,22 +138,3 @@ def independent_subset(vectors: Sequence[Vector]) -> list[Vector]:
     the pivot columns of the matrix whose columns are the vectors."""
     pivots, _ = _gauss_jordan(_integer_rows(list(zip(*vectors))))
     return [vectors[c] for c in pivots]
-
-
-def scaled_inverse(m: Matrix) -> tuple[list[list[int]], int]:
-    """Integer matrix A and integer D with m^{-1} = A / D.
-
-    Gauss-Jordan on [m | I]; scaling a row of the augmented matrix scales
-    the same row of I, so the right block still ends as D m^{-1}.  For an
-    integer m, A is the adjugate up to the sign of D.
-    """
-    n = len(m)
-    if any(len(row) != n for row in m):
-        raise ValueError("inverse of a non-square matrix")
-    aug = _integer_rows(
-        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
-    )
-    pivots, d = _gauss_jordan(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in aug], d

@@ -72,6 +72,7 @@ def exact_number(c) -> int | Fraction:
     return c.numerator if c.denominator == 1 else c
 
 
+@lru_cache(maxsize=None)
 def _var_key(v: Variable):
     kind, params = v
     if kind == "x":
@@ -278,14 +279,27 @@ def _coerce(other) -> SparsePolynomial:
 
 
 def _merge_monomials(m1, m2):
+    """The product of two monomials: one pass over both, each already in
+    variable order, adding the exponents of a variable they share."""
     if not m1:
         return m2
     if not m2:
         return m1
-    d = dict(m1)
-    for v, e in m2:
-        d[v] = d.get(v, 0) + e
-    return tuple(sorted(d.items(), key=lambda p: _var_key(p[0])))
+    out = []
+    i = j = 0
+    while i < len(m1) and j < len(m2):
+        (v1, e1), (v2, e2) = m1[i], m2[j]
+        if v1 == v2:
+            out.append((v1, e1 + e2))
+            i += 1
+            j += 1
+        elif _var_key(v1) < _var_key(v2):
+            out.append(m1[i])
+            i += 1
+        else:
+            out.append(m2[j])
+            j += 1
+    return (*out, *m1[i:], *m2[j:])
 
 
 def var_name(v: Variable) -> str:

@@ -34,7 +34,9 @@ wedge^d(A + lambda id) x - prod_{k<=d} (t_{w(k)} + lambda) x must vanish.
 Every point of the cell of w is b1 . (P_w B, Y), with b1 in B and Y upper
 triangular and zero at the inversions of w, so the sampler draws b1 and Y
 and solves no linear system: x^(d) are the minors of b1 on the columns
-w(1..d), and psi = b1 Y b1^{-1}.  Points carry plain ``int`` coordinates.
+w(1..d), built as the exterior products of b1's columns w(1), w(2), ...,
+and psi = b1 Y b1^{-1}, with b1^{-1} from b1's triangular adjugate.  Points
+carry plain ``int`` coordinates.
 Only the sampler and the witness builder make points, and every check is
 invariant under scaling psi, and under scaling each x^(d) by its own nonzero
 number, so neither needs a ``Fraction``; a diagonal that a caller hands to
@@ -50,9 +52,9 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd
+from operator import mul
 from typing import Optional
 
-from .linalg import scaled_inverse
 from .poly import (
     IncompletePointError,
     SparsePolynomial,
@@ -278,7 +280,80 @@ def _random_upper_invertible(rng: random.Random, n: int) -> list[list[int]]:
 
 
 def _mat_mul(a, b) -> list[list[int]]:
-    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+    columns = list(zip(*b))
+    return [[sum(map(mul, row, col)) for col in columns] for row in a]
+
+
+@lru_cache(maxsize=None)
+def _wedge_plan(n: int, d: int) -> tuple:
+    """The d-subsets of {1..n} in combination order, and for every
+    (d-1)-subset J, in the same order, the terms (i, position of J + i,
+    (-1)^#{j in J : j > i}) of x wedge e_i, one for each i outside J, by
+    increasing i."""
+    subsets = tuple(itertools.combinations(range(1, n + 1), d))
+    position = {s: p for p, s in enumerate(subsets)}
+    return subsets, tuple(
+        tuple(
+            (i, position[tuple(sorted((*j, i)))], (-1) ** sum(e > i for e in j))
+            for i in range(1, n + 1)
+            if i not in j
+        )
+        for j in itertools.combinations(range(1, n + 1), d - 1)
+    )
+
+
+def _plucker_vectors(b1, columns) -> list[dict]:
+    """x^(d) for every prefix of the columns, d = 1..len(columns): the map
+    I -> Delta^{S_d}_I(b1) over every d-subset I, in combination order, where
+    S_d = sorted(columns[:d]) and b1 is upper triangular (0-based rows).
+
+    x^(d) = x^(d-1) wedge (+-b1 e_c) for c = columns[d-1]: every nonzero
+    x^(d-1)_J gives x^(d)_{J+i} a term +-b1[i][c] x^(d-1)_J for each row
+    i <= c outside J (the rows below c are zero), and the sign
+    (-1)^#{e in S_{d-1} : e > c} puts c in its place in S_d.
+
+    >>> b1 = [[2, 1, 3], [0, -1, 4], [0, 0, 5]]
+    >>> _plucker_vectors(b1, (3, 1))
+    [{(1,): 3, (2,): 4, (3,): 5}, {(1, 2): 8, (1, 3): 10, (2, 3): 0}]
+    """
+    vectors = []
+    previous = [1]
+    for d, c in enumerate(columns, start=1):
+        sign = (-1) ** sum(e > c for e in columns[: d - 1])
+        column = [0, *(sign * row[c - 1] for row in b1[:c])]
+        subsets, plan = _wedge_plan(len(b1), d)
+        x = [0] * len(subsets)
+        for x_j, terms in zip(previous, plan):
+            if x_j:
+                for i, target, t in terms:
+                    if i > c:
+                        break
+                    x[target] += t * column[i] * x_j
+        vectors.append(dict(zip(subsets, x)))
+        previous = x
+    return vectors
+
+
+def _triangular_adjugate(b1) -> tuple[list[list[int]], int]:
+    """adj(b1) and det(b1) = prod b1[k][k] for an invertible upper-triangular
+    integer b1, by back-substitution: column j of adj solves b1 z = det e_j,
+    so it is zero below row j, det / b1[j][j] at row j, and
+    -(sum_{k > i} b1[i][k] z_k) / b1[i][i] at each row i < j.  adj is
+    integral, so every such division is exact; a remainder raises
+    ``ArithmeticError``."""
+    n = len(b1)
+    det = 1
+    for k in range(n):
+        det *= b1[k][k]
+    adj = [[0] * n for _ in range(n)]
+    for j in range(n):
+        adj[j][j] = det // b1[j][j]
+        for i in range(j - 1, -1, -1):
+            z, rem = divmod(-sum(b1[i][k] * adj[k][j] for k in range(i + 1, j + 1)), b1[i][i])
+            if rem:
+                raise ArithmeticError("back-substitution for the adjugate lost exactness")
+            adj[i][j] = z
+    return adj, det
 
 
 def sample_point_on_fiber(
@@ -294,24 +369,22 @@ def sample_point_on_fiber(
     upper-triangular integer b1, and an upper-triangular Y vanishing at each
     (k, l), k < l, with w'^{-1}(k) > w'^{-1}(l).  The flag is g = b1 P_{w'},
     whose Pluecker coordinate x_I of dimension d is Delta^{S_d}_I(b1),
-    S_d = sorted(w'(1..d)), up to a sign per d that no check can see: the
-    lambda^0 coefficient of wedge^d(b1 + lambda id) applied to e_{S_d}.
-    The diagonal of Y takes one value per orbit of w w'^{-1}, and
-    diag(b1 Y b1^{-1}) = diag(Y), so t_p = t_q on every orbit.
+    S_d = sorted(w'(1..d)), up to a sign per d that no check can see; the
+    vectors x^(d) are the exterior products of b1's columns w'(1), w'(2), ...
+    (``_plucker_vectors``).  The diagonal of Y takes one value per orbit of
+    w w'^{-1}, and diag(b1 Y b1^{-1}) = diag(Y), so t_p = t_q on every orbit.
 
-    psi is b1 Y b1^{-1} = b1 Y adj / D, with adj, D from ``scaled_inverse``;
-    every check is invariant under positive scaling of psi, so psi is
-    b1 Y adj / (gcd sign(D)), its positive primitive integer multiple, and
-    every Pluecker value and psi entry is ``int``."""
+    psi is b1 Y b1^{-1} = b1 Y adj / D, with b1's adjugate adj and determinant
+    D from ``_triangular_adjugate``; every check is invariant under positive
+    scaling of psi, so psi is b1 Y adj / (gcd sign(D)), its positive primitive
+    integer multiple, and every Pluecker value and psi entry is ``int``."""
     n = w_prime.n
     orbits = (w * w_prime.inverse()).orbits()  # raises on different ranks
     rng = random.Random(seed)
     b1 = _random_upper_invertible(rng, n)
-    upper = [[0] * (n + 1), *([0, *row] for row in b1)]
-    plucker_values = {tup: 0 for d in range(1, n) for tup, _ in _x_vars(n, d)}
-    for d in range(1, n):
-        for rows, coeffs in _exterior_power(upper, n, d, {_prefix_set(w_prime, d): 1}).items():
-            plucker_values[rows] = coeffs[0]
+    plucker_values = {}
+    for x in _plucker_vectors(b1, w_prime.one_line[: n - 1]):
+        plucker_values.update(x)
     y = [[0] * n for _ in range(n)]
     for orbit in orbits:
         t = rng.randint(-COEFF_RANGE, COEFF_RANGE)
@@ -322,9 +395,9 @@ def sample_point_on_fiber(
         for l in range(k + 1, n + 1):
             if position(k) < position(l):
                 y[k - 1][l - 1] = rng.randint(-COEFF_RANGE, COEFF_RANGE)
-    adj, denominator = scaled_inverse(b1)
+    adj, det = _triangular_adjugate(b1)
     v = _mat_mul(_mat_mul(b1, y), adj)
-    scale = (gcd(*(entry for row in v for entry in row)) or 1) * (1 if denominator > 0 else -1)
+    scale = (gcd(*(entry for row in v for entry in row)) or 1) * (1 if det > 0 else -1)
     return plucker_values, tuple(tuple(entry // scale for entry in row) for row in v)
 
 

@@ -12,6 +12,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
 from weylpairs.cli import _dumps  # noqa: E402
+from weylpairs.linalg import _gauss_jordan, _integer_rows  # noqa: E402
 from weylpairs.pairs import EnumerationSummary, enumerate_pairs  # noqa: E402
 from weylpairs.poly import (  # noqa: E402
     LAMBDA,
@@ -311,6 +312,27 @@ def reference_in_span(basis, v):
     Independent of the library's fraction-free core and of ``span_mask``."""
     ncols = len(v)
     return reference_kernel(list(basis), ncols)[1] == reference_kernel([*basis, v], ncols)[1]
+
+
+def scaled_inverse(m):
+    """Integer matrix A and integer D with m^{-1} = A / D, on the library's
+    fraction-free Gauss-Jordan core: the reference for the sampler's
+    triangular adjugate.
+
+    Gauss-Jordan on [m | I]; scaling a row of the augmented matrix scales
+    the same row of I, so the right block still ends as D m^{-1}.  For an
+    integer m, A is the adjugate up to the sign of D.
+    """
+    n = len(m)
+    if any(len(row) != n for row in m):
+        raise ValueError("inverse of a non-square matrix")
+    aug = _integer_rows(
+        [[*row, *(int(i == j) for j in range(n))] for i, row in enumerate(m)]
+    )
+    pivots, d = _gauss_jordan(aug)
+    if pivots[:n] != list(range(n)):
+        raise ValueError("matrix is singular")
+    return [row[n:] for row in aug], d
 
 
 # ---------------------------------------------------------------------------

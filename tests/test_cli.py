@@ -357,9 +357,11 @@ class TestPinnedDigests:
              "ba3d3920983d468f62981dea07fc644983bd45bd97b6b6dd08e9e8c2ebc77f15"),
             (["patterns", "verify", "--n", "6"],
              "89ddb6dcee661fc22d2c553abf2354cec07287af2505bdc3f996e22798da4f0a"),
+            (["sample", "check", "--n", "6", "--w", "653421", "--samples", "20"],
+             "692aa79bf7d2aec67cbc39ca97153cc0d6300ac1176ee7c7b723779d74185c71"),
         ],
         ids=["scan-n5", "emit-n6-json", "emit-n6-text", "enumerate-n5", "enumerate-n6-bad",
-             "verify-n6"],
+             "verify-n6", "sample-n6"],
     )
     def test_stdout_sha256(self, argv, digest):
         code, out = run(argv)

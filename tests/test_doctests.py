@@ -3,11 +3,15 @@ import doctest
 import weylpairs.patterns
 import weylpairs.poly
 import weylpairs.roots
+import weylpairs.varieties
 import weylpairs.weyl
 
 
 def test_doctests():
-    for module in (weylpairs.weyl, weylpairs.patterns, weylpairs.poly, weylpairs.roots):
+    modules = (
+        weylpairs.weyl, weylpairs.patterns, weylpairs.poly, weylpairs.roots, weylpairs.varieties,
+    )
+    for module in modules:
         result = doctest.testmod(module)
         assert result.failed == 0, module.__name__
         assert result.attempted > 0, module.__name__

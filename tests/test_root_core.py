@@ -15,7 +15,6 @@ from weylpairs.linalg import (
     independent_subset,
     integer_kernel,
     rank,
-    scaled_inverse,
     span_mask,
 )
 from weylpairs.roots import (
@@ -29,7 +28,13 @@ from weylpairs.roots import (
 )
 from weylpairs.weyl import reflection_group
 
-from conftest import fraction_det, fraction_mat_mul, reference_in_span, reference_kernel
+from conftest import (
+    fraction_det,
+    fraction_mat_mul,
+    reference_in_span,
+    reference_kernel,
+    scaled_inverse,
+)
 
 F = Fraction
 

@@ -131,29 +131,42 @@ def test_traced_memos_are_reflection_group_attributes():
 
 
 def test_the_laplace_minor_memo_is_gone():
-    # every colinearity sum and minor is read off the exterior-power sweep;
-    # the Laplace expansion lives on as tests/conftest.py's laplace_minors
+    # every shifted minor Delta^J_I(A + lambda), and so every colinearity sum,
+    # is read off the exterior-power sweep; the Laplace expansion lives on as
+    # tests/conftest.py's laplace_minors
     for path in sorted(SRC.glob("*.py")):
         text = path.read_text()
         for name in ("_laplace_terms", "_shifted_minors", "_generic_minors"):
             assert name not in text, (path.name, name)
 
 
-def test_the_sampler_solves_no_linear_system():
-    # cell points are b1 . (P_w B, Y) with Y drawn directly, so integer
-    # kernels serve only the span tests
-    text = (SRC / "varieties.py").read_text()
-    for name in ("_sample_cell_point", "integer_kernel"):
-        assert name not in text, name
-    callers = {
+def _callers(name):
+    """(module, function) of each top-level function that calls ``name``."""
+    return {
         (module, stmt.name)
         for module, tree in _parse(SRC).items()
         for stmt in tree.body
         if isinstance(stmt, ast.FunctionDef)
-        if any(isinstance(node, ast.Call) and "integer_kernel" in _names(node.func)
+        if any(isinstance(node, ast.Call) and name in _names(node.func)
                for node in ast.walk(stmt))
     }
-    assert callers == {("linalg.py", "span_mask")}
+
+
+def test_the_sampler_solves_no_linear_system():
+    # cell points are b1 . (P_w B, Y) with Y drawn directly and b1^{-1} from
+    # b1's triangular adjugate, so integer kernels serve only the span tests
+    # and Gauss-Jordan only rank, kernels and independent subsets; the
+    # general inverse lives on as tests/conftest.py's scaled_inverse
+    text = (SRC / "varieties.py").read_text()
+    for name in ("_sample_cell_point", "integer_kernel"):
+        assert name not in text, name
+    for path in sorted(SRC.glob("*.py")):
+        assert "scaled_inverse" not in path.read_text(), path.name
+    assert _callers("integer_kernel") == {("linalg.py", "span_mask")}
+    assert _callers("_gauss_jordan") == {
+        ("linalg.py", "rank"), ("linalg.py", "integer_kernel"),
+        ("linalg.py", "independent_subset"),
+    }
 
 
 # traced targets the library no longer defines: bench/tracing.py skips them,

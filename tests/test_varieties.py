@@ -1,5 +1,6 @@
 """Relations, cell equations, sampling, the scanner, and witness checks."""
 
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -50,6 +51,7 @@ from conftest import (
     reference_kernel,
     reference_minor,
     reference_p_polynomial,
+    scaled_inverse,
     simplified_incidence_check,
     variables,
 )
@@ -983,6 +985,109 @@ class TestSamplerAgainstFractionReference:
         for w, wp in pairs:
             for seed in range(100, 104):
                 self.check(w, wp, seed, sample_point_on_fiber(w, wp, seed))
+
+
+class TestPluckerVectorsAndAdjugate:
+    """The sampler's two kernels against Fraction references: the Pluecker
+    vectors are the minors of b1 on the sorted prefixes of any column
+    sequence, and the triangular adjugate is D b1^{-1} for D = det b1."""
+
+    # sample_point_on_fiber(w, w, seed) for every S5 cell w (permutations
+    # order) and seed 0, 1, 2: sha256 of the concatenated reprs.  The seeded
+    # excess figures of ROADMAP items 3, 8 and 9 rest on these draws.
+    S5_SAMPLES_SHA256 = "6c694e370d9951a0352cbb48471fbdd80ef3414e34d1a00472837a9a02a16a89"
+
+    @staticmethod
+    def upper(rng, n, unit=False):
+        """A seeded invertible upper-triangular integer matrix; with ``unit``
+        its diagonal is +-1, else any nonzero value in [-9, 9]."""
+        m = [[rng.randint(-9, 9) if j > i else 0 for j in range(n)] for i in range(n)]
+        for i in range(n):
+            m[i][i] = rng.choice([1, -1] if unit else [v for v in range(-9, 10) if v])
+        return m
+
+    @staticmethod
+    def minors(b1, columns):
+        """Per prefix of the columns: rows -> the Fraction determinant of b1
+        on those rows and the prefix's sorted columns."""
+        n = len(b1)
+        out = []
+        for d in range(1, len(columns) + 1):
+            cols = sorted(columns[:d])
+            out.append({
+                rows: fraction_det([[b1[r - 1][c - 1] for c in cols] for r in rows])
+                for rows in itertools.combinations(range(1, n + 1), d)
+            })
+        return out
+
+    def check(self, b1, columns):
+        got = varieties._plucker_vectors(b1, columns)
+        want = self.minors(b1, columns)
+        assert [list(x) for x in got] == [list(x) for x in want]
+        assert got == want, columns
+        return got
+
+    def test_every_s4_frame(self):
+        rng = random.Random(41)
+        matrices = [self.upper(rng, 4, unit=k % 2 == 0) for k in range(4)]
+        for w in all_perms(4):
+            for b1 in matrices:
+                got = self.check(b1, w.one_line)
+                assert all(type(v) is int for x in got for v in x.values())
+
+    def test_seeded_s5_neighbouring_frames(self):
+        """Frame w'(1..d) with w'(l) replaced by w'(k), l <= d < k: the
+        columns a tangent row at the flag b1 P_{w'} reads."""
+        rng = random.Random(42)
+        for w in rng.sample(all_perms(5), 12):
+            b1 = self.upper(rng, 5, unit=rng.random() < 0.3)
+            for d in range(1, 5):
+                for l in range(1, d + 1):
+                    for k in range(d + 1, 6):
+                        columns = list(w.one_line[:d])
+                        columns[l - 1] = w(k)
+                        self.check(b1, columns)
+
+    def test_sampler_on_seeded_s5_fiber_pairs(self):
+        """The sampled Pluecker values are the minors of the seed's b1 on the
+        prefixes of w', whether or not w' <= w."""
+        rng = random.Random(43)
+        incomparable = 0
+        for _ in range(30):
+            w, wp = rng.sample(all_perms(5), 2)
+            incomparable += not wp.bruhat_leq(w)
+            seed = rng.randrange(10**6)
+            b1 = _draw_b1(random.Random(seed), 5)
+            want = {}
+            for x in self.minors(b1, wp.one_line[:4]):
+                want.update(x)
+            assert sample_point_on_fiber(w, wp, seed)[0] == want
+        assert incomparable > 0
+
+    def test_adjugate_inverts_up_to_the_determinant(self):
+        rng = random.Random(44)
+        for k in range(60):
+            n = rng.randint(1, 6)
+            b1 = self.upper(rng, n, unit=k % 3 == 0)
+            adj, det = varieties._triangular_adjugate(b1)
+            assert type(det) is int and det == fraction_det(b1)
+            assert all(type(v) is int for row in adj for v in row)
+            scaled_identity = [[F(det * int(i == j)) for j in range(n)] for i in range(n)]
+            assert fraction_mat_mul(b1, adj) == scaled_identity
+            assert fraction_mat_mul(adj, b1) == scaled_identity
+            inverse, d = scaled_inverse(b1)
+            assert [[v * d for v in row] for row in adj] == [[v * det for v in row] for row in inverse]
+
+    def test_inexact_back_substitution_raises(self):
+        with pytest.raises(ArithmeticError):
+            varieties._triangular_adjugate([[2, F(1, 2)], [0, 1]])
+
+    def test_s5_samples_are_pinned(self):
+        digest = hashlib.sha256()
+        for w in all_perms(5):
+            for seed in range(3):
+                digest.update(repr(sample_point_on_fiber(w, w, seed)).encode())
+        assert digest.hexdigest() == self.S5_SAMPLES_SHA256
 
 
 class TestScan:
