@@ -19,7 +19,7 @@ import sys
 
 from . import __version__
 from .mingen import min_gen_subsystem, min_gen_type_A_orbits
-from .pairs import CRITERIA, EnumerationSummary, enumerate_pairs, is_good_orbitwise
+from .pairs import CRITERIA, FILTERS, EnumerationSummary, enumerate_pairs, is_good_orbitwise
 from .patterns import left_bad_exists, right_bad_exists, verify_pattern_theorem
 from .serialize import (
     counterexample_dict,
@@ -326,7 +326,7 @@ def build_parser() -> argparse.ArgumentParser:
     pairs_sub = pairs_p.add_subparsers(dest="verb", required=True)
     enum = pairs_sub.add_parser("enumerate", help="classify all comparable pairs")
     enum.add_argument("--n", type=int, required=True)
-    enum.add_argument("--filter", choices=("good", "bad", "all"), default="all")
+    enum.add_argument("--filter", choices=FILTERS, default="all")
     enum.add_argument("--out", default=None)
     enum.add_argument("--jobs", type=int, default=1)
     enum.add_argument("--allow-large", action="store_true")

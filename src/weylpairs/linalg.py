@@ -126,7 +126,11 @@ def integer_kernel(m: Matrix, ncols: int | None = None) -> tuple[list[list[int]]
 def span_mask(vectors: Sequence[Vector], candidates: Sequence[Vector]) -> list[bool]:
     """Whether each candidate c lies in the span of the vectors: over Q a
     subspace is the orthogonal complement of its orthogonal complement, so
-    iff c . k = 0 for every k of the integer kernel of the vectors as rows."""
+    iff c . k = 0 for every k of the integer kernel of the vectors as rows.
+
+    >>> span_mask([(1, -1, 0), (0, 1, -1)], [(1, 0, -1), (1, 0, 0)])
+    [True, False]
+    """
     if not candidates:
         return []
     kernel, _ = integer_kernel(vectors, ncols=len(candidates[0]))

@@ -226,7 +226,12 @@ def is_good_parabolic(group, w1, w2) -> PairVerdict:
 
 def is_good_orbitwise(w1: Permutation, w2: Permutation) -> PairVerdict:
     """Good iff w1[i,j]_orbit <= w2[i,j]_orbit for every orbit of w1 w2^{-1}
-    and every box (i, j)."""
+    and every box (i, j).
+
+    >>> v = is_good_orbitwise(Permutation([1, 3, 2, 4]), Permutation([4, 2, 3, 1]))
+    >>> v.verdict, v.violating_orbit
+    ('bad', ((2, 3), 2, 3))
+    """
     if not w1.bruhat_leq(w2):
         return _incomparable(w1, w2, "orbitwise")
     return orbitwise_verdict(w1, w2, _box_violation(w1.one_line, w2.one_line))
@@ -311,9 +316,12 @@ def classify_block(n: int, lo: int, hi: int, summary: EnumerationSummary):
             yield t1, tuples[j], violation
 
 
+FILTERS = ("good", "bad", "all")  # enumerate_pairs' verdict_filter, CLI --filter
+
+
 def _filtered(rows, verdict_filter: str):
     """The rows (t1, t2, violation) that ``verdict_filter`` keeps."""
-    if verdict_filter not in ("good", "bad", "all"):
+    if verdict_filter not in FILTERS:
         raise ValueError(f"unknown filter {verdict_filter!r}")
     if verdict_filter == "all":
         return rows

@@ -15,14 +15,16 @@ comparisons.  ``evaluate`` multiplies and adds the numbers as they come, so
 an integer polynomial evaluates to an ``int`` at an ``int`` point; a
 ``Fraction`` coordinate gives a ``Fraction``.
 
-The last section is the library's one engine for shifted minors,
-``_exterior_power``: wedge^d(A + lambda id) x for an upper-triangular A and
-a vector x over the d-subsets, as lambda-coefficients, by a sweep over the
-rows of A.  Its I-th coordinate is sum_J Delta^J_I(A + lambda id) x_J, so a
-single minor is the sweep on a basis vector.  A may hold numbers (a point's
+The last section holds the library's one index of wedge^d Q^n,
+``_wedge_table`` (the d-subsets of {1..n} and the signs of e_J wedge e_i),
+and its one engine for shifted minors, ``_exterior_power``:
+wedge^d(A + lambda id) x for an upper-triangular A and a vector x over the
+d-subsets, as lambda-coefficients, by a sweep over the rows of A.  Its I-th
+coordinate is sum_J Delta^J_I(A + lambda id) x_J, so a single minor is the
+sweep on a basis vector.  A may hold numbers (a point's
 (u, t) matrix) or polynomials (the generic matrix, behind ``symbolic_minor``
-and the emitted P-equations).  The sweep checks that the lambda^d
-coefficient of each coordinate is x_I, or raises ``VerificationFailedError``.
+and the emitted P-equations).  The sweep checks that the lambda^d coefficient
+of each coordinate is x_I, or raises ``VerificationFailedError``.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ import itertools
 import re
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterable, Mapping, Optional
+from typing import Iterable, Mapping
 
 Variable = tuple  # ("x", (i1,...,id)) | ("u", (k, l)) | ("t", (m,)) | ("lam", ())
 
@@ -78,23 +80,6 @@ def _var_key(v: Variable):
     if kind == "x":
         return (0, len(params), params)
     return (_KIND_RANK[kind], params)
-
-
-def normalize_plucker_indices(indices: Iterable[int]) -> tuple[int, Optional[tuple[int, ...]]]:
-    """Signed normalization of an arbitrary index sequence.
-
-    Repeated indices give (0, None); otherwise the sign of the sorting
-    permutation and the sorted tuple.
-    """
-    seq = list(indices)
-    if len(set(seq)) != len(seq):
-        return 0, None
-    sign = 1
-    for i in range(len(seq)):
-        for j in range(i + 1, len(seq)):
-            if seq[i] > seq[j]:
-                sign = -sign
-    return sign, tuple(sorted(seq))
 
 
 def _monomial_sort_key(mono):
@@ -361,7 +346,7 @@ def parse_polynomial(text: str) -> SparsePolynomial:
 
 
 # ---------------------------------------------------------------------------
-# exterior powers of a shifted upper-triangular matrix, on numbers or polynomials
+# the index of wedge^d Q^n, and exterior powers of A + lambda id on it
 # ---------------------------------------------------------------------------
 
 class VerificationFailedError(RuntimeError):
@@ -369,25 +354,43 @@ class VerificationFailedError(RuntimeError):
 
 
 @lru_cache(maxsize=None)
-def _exterior_plan(n: int, d: int) -> tuple:
-    """Row k's factor of wedge^d(A + lambda id), for k = 1..n in order: for
-    every d-subset I containing k, as (position of I, terms), the terms
-    (j, position of I - k + j, sign) for j > k outside I, with sign
-    (-1)^#{i in I : k < i < j}.  Positions are in combination order."""
-    subsets = list(itertools.combinations(range(1, n + 1), d))
+def _wedge_table(n: int, d: int) -> tuple:
+    """The index of wedge^d Q^n: the d-subsets of {1..n} in combination
+    order, and for each (d-1)-subset J in that order (none for d = 0) the
+    terms (i, position of J + i, (-1)^#{j in J : j > i}) of e_J wedge e_i,
+    one for each i outside J, by increasing i.
+
+    >>> subsets, terms = _wedge_table(3, 2)
+    >>> subsets, terms[1]  # J = (2,): e_2 wedge e_1 = -e_12, e_2 wedge e_3 = e_23
+    (((1, 2), (1, 3), (2, 3)), ((1, 0, -1), (3, 2, 1)))
+    """
+    universe = range(1, n + 1)
+    subsets = tuple(itertools.combinations(universe, d))
     position = {s: p for p, s in enumerate(subsets)}
-    return tuple(
+    return subsets, tuple(
         tuple(
-            (p, tuple(
-                (j, position[tuple(sorted({*s, j} - {k}))], (-1) ** sum(k < i < j for i in s))
-                for j in range(k + 1, n + 1)
-                if j not in s
-            ))
-            for p, s in enumerate(subsets)
-            if k in s
+            (i, position[tuple(sorted((*j, i)))], (-1) ** sum(e > i for e in j))
+            for i in universe
+            if i not in j
         )
-        for k in range(1, n + 1)
+        for j in (_wedge_table(n, d - 1)[0] if d else ())
     )
+
+
+@lru_cache(maxsize=None)
+def _exterior_plan(n: int, d: int) -> tuple:
+    """Row k's factor of wedge^d(A + lambda id), k = 1..n, read off
+    ``_wedge_table``: it sends e_J wedge e_j to e_J wedge e_j + A[k][j] e_J
+    wedge e_k for j > k, so for each J without k, in the table's order, it
+    holds (position of J + k, terms), a term (j, position of J + j, the
+    signs of e_J wedge e_k and e_J wedge e_j multiplied) per j > k outside J."""
+    rows = [[] for _ in range(n)]
+    for terms in _wedge_table(n, d)[1]:
+        for k, p, sign_k in terms:
+            rows[k - 1].append(
+                (p, tuple((j, q, sign_k * sign_j) for j, q, sign_j in terms if j > k))
+            )
+    return tuple(map(tuple, rows))
 
 
 def _times_shift(coeffs: list, c) -> list:
@@ -410,7 +413,7 @@ def _exterior_power(a: list[list], n: int, d: int, x: Mapping) -> dict:
     y_I <- (A[k][k] + lambda) y_I + sum_j +-A[k][j] y_{I-k+j} for every I
     containing k.  The lambda^d coefficient of y_I must come out x_I, or
     ``VerificationFailedError`` is raised."""
-    subsets = list(itertools.combinations(range(1, n + 1), d))
+    subsets = _wedge_table(n, d)[0]
     # None: y_I = 0, which the sweep skips
     y = [[x[s]] + [0] * d if s in x else None for s in subsets]
     zero = [0] * (d + 1)

@@ -63,7 +63,7 @@ from .poly import (
     _generic_matrix,
     _times_shift,
     _upper_matrix,
-    normalize_plucker_indices,
+    _wedge_table,
     t_var,
     u_var,
     var_name,
@@ -93,25 +93,21 @@ def _exchange_relations(n: int, d: int, d_prime: int) -> tuple[SparsePolynomial,
     """sum_k (-1)^k x_{i_1..i_{d-1} j_k} x'_{j_1..^j_k..j_{d'+1}} over all
     increasing index choices, with signed-variable normalization.
 
-    Built straight into term dicts, normalising i_seq + (j,) once per i_seq;
-    only the j_k outside i_seq give a term.  For d < d' every choice gives a
-    new nonzero relation.  For d = d' the choices where min(i_seq ^ j_seq)
-    is not in i_seq are skipped unbuilt, which leaves every relation once, at
-    its first (i_seq, j_seq) in iteration order:
+    Built straight into term dicts: ``_wedge_table``'s terms of i_seq give
+    the sign and the x of i_seq + (j,) for each j outside i_seq, the only
+    j_k that give a term.  For d < d' every choice gives a new nonzero
+    relation.  For d = d' the choices where min(i_seq ^ j_seq) is not in
+    i_seq are skipped unbuilt, which leaves every relation once, at its first
+    (i_seq, j_seq) in iteration order:
     - j_seq \\ i_seq = {a, b}: the terms x_{I+a} x_{I+b} cancel to 0;
     - j_seq \\ i_seq = {a < b < c}, i_seq \\ j_seq = {i}: the three-term relation
       of (i_seq & j_seq) + {i, a, b, c} comes up once for each of its four
       choices of i, and i < a gives the lexicographically first i_seq.
     """
     out: list[SparsePolynomial] = []
-    universe = range(1, n + 1)
-    for i_seq in itertools.combinations(universe, d - 1):
-        signed = {}
-        for j in universe:
-            sign, idx = normalize_plucker_indices(i_seq + (j,))
-            if sign:
-                signed[j] = (sign, x_var(idx))
-        for j_seq in itertools.combinations(universe, d_prime + 1):
+    for i_seq, wedges in zip(_wedge_table(n, d - 1)[0], _wedge_table(n, d)[1]):
+        signed = {j: (sign, _x_vars(n, d)[q][1]) for j, q, sign in wedges}
+        for j_seq in _wedge_table(n, d_prime + 1)[0]:
             outside = [(k, jk) for k, jk in enumerate(j_seq) if jk in signed]
             if d == d_prime and len(outside) <= 3 and min(set(i_seq) ^ set(j_seq)) not in i_seq:
                 continue
@@ -172,7 +168,7 @@ def cell_equations(w: Permutation) -> CellDescription:
 @lru_cache(maxsize=None)
 def _x_vars(n: int, d: int) -> tuple[tuple[tuple[int, ...], tuple], ...]:
     """(J, x_J) for every d-subset J of {1..n}, in combination order."""
-    return tuple((tup, x_var(tup)) for tup in itertools.combinations(range(1, n + 1), d))
+    return tuple((tup, x_var(tup)) for tup in _wedge_table(n, d)[0])
 
 
 @lru_cache(maxsize=None)
@@ -284,33 +280,15 @@ def _mat_mul(a, b) -> list[list[int]]:
     return [[sum(map(mul, row, col)) for col in columns] for row in a]
 
 
-@lru_cache(maxsize=None)
-def _wedge_plan(n: int, d: int) -> tuple:
-    """The d-subsets of {1..n} in combination order, and for every
-    (d-1)-subset J, in the same order, the terms (i, position of J + i,
-    (-1)^#{j in J : j > i}) of x wedge e_i, one for each i outside J, by
-    increasing i."""
-    subsets = tuple(itertools.combinations(range(1, n + 1), d))
-    position = {s: p for p, s in enumerate(subsets)}
-    return subsets, tuple(
-        tuple(
-            (i, position[tuple(sorted((*j, i)))], (-1) ** sum(e > i for e in j))
-            for i in range(1, n + 1)
-            if i not in j
-        )
-        for j in itertools.combinations(range(1, n + 1), d - 1)
-    )
-
-
 def _plucker_vectors(b1, columns) -> list[dict]:
     """x^(d) for every prefix of the columns, d = 1..len(columns): the map
     I -> Delta^{S_d}_I(b1) over every d-subset I, in combination order, where
     S_d = sorted(columns[:d]) and b1 is upper triangular (0-based rows).
 
-    x^(d) = x^(d-1) wedge (+-b1 e_c) for c = columns[d-1]: every nonzero
-    x^(d-1)_J gives x^(d)_{J+i} a term +-b1[i][c] x^(d-1)_J for each row
-    i <= c outside J (the rows below c are zero), and the sign
-    (-1)^#{e in S_{d-1} : e > c} puts c in its place in S_d.
+    x^(d) = x^(d-1) wedge (+-b1 e_c) for c = columns[d-1], on the subsets and
+    signs of ``poly._wedge_table``: a nonzero x^(d-1)_J gives x^(d)_{J+i} the
+    term +-b1[i][c] x^(d-1)_J for each row i <= c outside J (the rows below c
+    are zero), and the column sign (-1)^#{e in S_{d-1} : e > c} sorts c into S_d.
 
     >>> b1 = [[2, 1, 3], [0, -1, 4], [0, 0, 5]]
     >>> _plucker_vectors(b1, (3, 1))
@@ -321,7 +299,7 @@ def _plucker_vectors(b1, columns) -> list[dict]:
     for d, c in enumerate(columns, start=1):
         sign = (-1) ** sum(e > c for e in columns[: d - 1])
         column = [0, *(sign * row[c - 1] for row in b1[:c])]
-        subsets, plan = _wedge_plan(len(b1), d)
+        subsets, plan = _wedge_table(len(b1), d)
         x = [0] * len(subsets)
         for x_j, terms in zip(previous, plan):
             if x_j:

@@ -43,6 +43,8 @@ class InternalInvariantError(RuntimeError):
 # n from which it runs only with allow_large (CLI --allow-large), or None.
 # Group construction lists all n! elements (the chain and parabolic criteria):
 # peak RSS 31 MB at n = 8 and 152 MB at n = 9, and n = 10 fails under 1 GB.
+# reflection_group("A<n-1>") too: A8 (n = 9) took 11 s at 293 MB peak RSS (one
+# run, shared 2-core Intel Xeon, CPython 3.11.7), about ten times more per letter.
 SIZE_LIMITS = {
     "enumeration": (7, 7),
     "equation generation": (6, None),
@@ -581,10 +583,13 @@ def symmetric_group(n: int) -> SymmetricGroup:
 
 def reflection_group(name: str) -> ReflectionGroup:
     """The group of a named root system (``roots.build_named``), built once
-    per system however its name is cased."""
+    per system however its name is cased; A<r> lists all (r + 1)! elements,
+    so r + 1 must pass the "group construction" bound before anything is built."""
     return _reflection_group(canonical_name(name))
 
 
 @lru_cache(maxsize=None)
 def _reflection_group(name: str) -> ReflectionGroup:
+    if name.startswith("A"):
+        check_size("group construction", int(name[1:]) + 1)
     return ReflectionGroup(build_named(name))

@@ -20,7 +20,6 @@ from weylpairs.poly import (  # noqa: E402
     VerificationFailedError,
     _raw,
     _upper_matrix,
-    normalize_plucker_indices,
     t_var,
     u_var,
     x_var,
@@ -92,6 +91,42 @@ def reference_minor(n, rows, cols, shift_lambda=False):
         sign = (-1) ** ((len(rows) - 1) + pos)
         total = total + entry * sign * sub
     return total
+
+
+def normalize_plucker_indices(indices) -> tuple[int, Optional[tuple[int, ...]]]:
+    """Signed normalization of an arbitrary index sequence: (0, None) for a
+    repeated index, else the sign of the sorting permutation and the sorted
+    tuple, counted pair by pair."""
+    seq = list(indices)
+    if len(set(seq)) != len(seq):
+        return 0, None
+    sign = 1
+    for i in range(len(seq)):
+        for j in range(i + 1, len(seq)):
+            if seq[i] > seq[j]:
+                sign = -sign
+    return sign, tuple(sorted(seq))
+
+
+def reference_exterior_plan(n, d):
+    """Reference for ``poly._exterior_plan``, by its own position map and
+    sign rule: row k has, for every d-subset I containing k in combination
+    order, (position of I, terms), the terms (j, position of I - k + j,
+    (-1)^#{i in I : k < i < j}) for j > k outside I."""
+    subsets = list(itertools.combinations(range(1, n + 1), d))
+    position = {s: p for p, s in enumerate(subsets)}
+    return tuple(
+        tuple(
+            (p, tuple(
+                (j, position[tuple(sorted({*s, j} - {k}))], (-1) ** sum(k < i < j for i in s))
+                for j in range(k + 1, n + 1)
+                if j not in s
+            ))
+            for p, s in enumerate(subsets)
+            if k in s
+        )
+        for k in range(1, n + 1)
+    )
 
 
 def _laplace_terms(rows, cols):

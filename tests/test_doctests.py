@@ -1,5 +1,7 @@
 import doctest
 
+import weylpairs.linalg
+import weylpairs.pairs
 import weylpairs.patterns
 import weylpairs.poly
 import weylpairs.roots
@@ -10,6 +12,7 @@ import weylpairs.weyl
 def test_doctests():
     modules = (
         weylpairs.weyl, weylpairs.patterns, weylpairs.poly, weylpairs.roots, weylpairs.varieties,
+        weylpairs.linalg, weylpairs.pairs,
     )
     for module in modules:
         result = doctest.testmod(module)

@@ -3,6 +3,7 @@
 import itertools
 import random
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -10,9 +11,10 @@ from hypothesis import strategies as st
 
 from weylpairs.poly import (
     LAMBDA,
+    _exterior_plan,
+    _wedge_table,
     IncompletePointError,
     SparsePolynomial,
-    normalize_plucker_indices,
     parse_polynomial,
     symbolic_minor,
     t_var,
@@ -23,7 +25,14 @@ from weylpairs.poly import (
 from weylpairs.varieties import p_polynomials, point_assignment, sample_point_on_Vw
 from weylpairs.weyl import Permutation
 
-from conftest import fraction_det, lambda_coefficients, reference_minor, variables
+from conftest import (
+    fraction_det,
+    lambda_coefficients,
+    normalize_plucker_indices,
+    reference_exterior_plan,
+    reference_minor,
+    variables,
+)
 
 F = Fraction
 
@@ -338,6 +347,39 @@ class TestNormalization:
         assert normalize_plucker_indices((2, 1)) == (-1, (1, 2))
         assert normalize_plucker_indices((3, 1, 2)) == (1, (1, 2, 3))
         assert normalize_plucker_indices((1, 3, 2)) == (-1, (1, 2, 3))
+
+
+class TestWedgeTable:
+    """``_wedge_table`` against the definitions it stands for, and the
+    sweep's row plan against its former formula."""
+
+    SIZES = [(n, d) for n in range(1, 8) for d in range(n + 1)]
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_subsets_are_the_combinations(self, n, d):
+        subsets, terms = _wedge_table(n, d)
+        assert subsets == tuple(itertools.combinations(range(1, n + 1), d))
+        assert len(terms) == (comb(n, d - 1) if d else 0)
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_terms_sort_and_sign_j_plus_i(self, n, d):
+        subsets, terms = _wedge_table(n, d)
+        js = itertools.combinations(range(1, n + 1), d - 1) if d else ()
+        for j, j_terms in zip(js, terms, strict=True):
+            assert [i for i, _, _ in j_terms] == [i for i in range(1, n + 1) if i not in j]
+            for i, q, sign in j_terms:
+                assert subsets[q] == tuple(sorted(j + (i,)))
+                assert (sign, subsets[q]) == normalize_plucker_indices(j + (i,))
+
+    @pytest.mark.parametrize("n, d", SIZES)
+    def test_exterior_plan_matches_its_former_formula(self, n, d):
+        assert _exterior_plan(n, d) == reference_exterior_plan(n, d)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_empty_minor_is_one(self, n):
+        # d = 0: the table has the one empty subset and no terms
+        for shift_lambda in (False, True):
+            assert symbolic_minor(n, (), (), shift_lambda) == SparsePolynomial.constant(1)
 
 
 class TestSerialization:

@@ -140,6 +140,23 @@ def test_the_laplace_minor_memo_is_gone():
             assert name not in text, (path.name, name)
 
 
+def test_one_index_for_the_exterior_algebra():
+    # the d-subsets, their positions and the sign of e_J wedge e_i come from
+    # poly._wedge_table alone; normalize_plucker_indices lives on as
+    # tests/conftest.py's reference
+    for path in sorted(SRC.glob("*.py")):
+        text = path.read_text()
+        for name in ("normalize_plucker_indices", "_wedge_plan"):
+            assert name not in text, (path.name, name)
+    definitions = [
+        (module, node.name)
+        for module, tree in _parse(SRC).items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.FunctionDef) and node.name == "_wedge_table"
+    ]
+    assert definitions == [("poly.py", "_wedge_table")]
+
+
 def _callers(name):
     """(module, function) of each top-level function that calls ``name``."""
     return {

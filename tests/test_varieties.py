@@ -16,7 +16,6 @@ from weylpairs.poly import (
     IncompletePointError,
     SparsePolynomial,
     VerificationFailedError,
-    normalize_plucker_indices,
     t_var,
     u_var,
     x_var,
@@ -48,6 +47,7 @@ from conftest import (
     lambda_coefficients,
     lambda_degree,
     laplace_minors,
+    normalize_plucker_indices,
     reference_kernel,
     reference_minor,
     reference_p_polynomial,
@@ -712,6 +712,27 @@ def test_exchange_relations_match_polynomial_arithmetic(n):
             reference = _exchange_reference(n, d, d_prime)
             assert direct == reference, (n, d, d_prime)
             assert [p.canonical_str() for p in direct] == [p.canonical_str() for p in reference]
+
+
+# sha256 of every flag relation for n = 2..6, one line each and joined by
+# "\n": for each d = 1..n-1, "P n d <relation>" for plucker_relations(n, d),
+# then "I n d d' <relation>" for incidence_relations(n, d, d') over
+# d' = d+1..n-1
+FLAG_RELATIONS_SHA256 = "b9cd6d5c61aeed7531d9f5336ac8ddc2a46e4c7f8913b8df74adbb839fcc681c"
+
+
+def test_every_flag_relation_is_pinned():
+    lines = []
+    for n in range(2, 7):
+        for d in range(1, n):
+            lines += [f"P {n} {d} {rel.canonical_str()}" for rel in plucker_relations(n, d)]
+            for d_prime in range(d + 1, n):
+                lines += [
+                    f"I {n} {d} {d_prime} {rel.canonical_str()}"
+                    for rel in incidence_relations(n, d, d_prime)
+                ]
+    assert len(lines) == 451
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == FLAG_RELATIONS_SHA256
 
 
 def _coefficient_of_x(poly, indices):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from weylpairs import weyl
 from weylpairs.roots import build_named
 from weylpairs.weyl import (
     SIZE_LIMITS,
@@ -257,6 +258,20 @@ class TestReflectionGroupNames:
 
     def test_one_group_per_system_however_cased(self):
         assert reflection_group("b3") is reflection_group("B3")
+
+    def test_type_a_is_bounded_before_it_is_built(self, monkeypatch):
+        # A9 would list 10! elements; the bound must refuse it before any
+        # ReflectionGroup is made, so a build fails the test at once
+        maximum, _ = SIZE_LIMITS["group construction"]
+        assert maximum == 9
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("ReflectionGroup built past the size bound")
+
+        monkeypatch.setattr(weyl, "ReflectionGroup", refuse)
+        for name in ("A9", "a12"):
+            with pytest.raises(ValueError, match=r"^group construction supports 2 <= n <= 9$"):
+                reflection_group(name)
 
 
 class TestReflections:
